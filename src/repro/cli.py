@@ -103,15 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="KMN fraction of inputs required (0,1]")
         p.add_argument("--speculation", action="store_true",
                        help="enable speculative execution")
-        p.add_argument("--network-engine", default="incremental",
-                       choices=["incremental", "reference", "vectorized"],
-                       help="flow-rate allocator (reference = full recompute, "
-                            "vectorized = numpy-bookkeeping kernel)")
-        p.add_argument("--alloc-engine", default="incremental",
-                       choices=["incremental", "reference", "vectorized"],
-                       help="allocation control plane (reference = per-round "
-                            "from-scratch demand rebuild, vectorized = "
-                            "numpy demand bookkeeping)")
         p.add_argument("--per-event-alloc", action="store_true",
                        help="run one allocation round per job boundary instead "
                             "of coalescing same-instant boundaries")
@@ -247,19 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="queueing-theory validation suite: closed forms vs measurement",
     )
     val_p.add_argument("--smoke", action="store_true",
-                       help="CI gate: reduced sample sizes, both engine "
-                            "variants on engine-sensitive scenarios")
+                       help="CI gate: reduced sample sizes")
     val_p.add_argument("--scenario", action="append", default=None,
                        metavar="NAME", dest="scenario_names",
                        help="run only this scenario (repeatable); "
                             "default: all registered scenarios")
     val_p.add_argument("--seed", type=int, default=0)
-    val_p.add_argument("--network-engine", default="incremental",
-                       choices=["incremental", "reference", "vectorized"],
-                       help="engine for single-variant runs (ignored by the "
-                            "smoke gate, which always runs both variants)")
-    val_p.add_argument("--alloc-engine", default="incremental",
-                       choices=["incremental", "reference", "vectorized"])
     val_p.add_argument("--out", metavar="PATH", default="VALIDATION.json",
                        help="pass/fail report artifact path ('' to skip)")
     val_p.add_argument("--list", action="store_true", dest="list_scenarios",
@@ -336,8 +320,6 @@ def _config(args: argparse.Namespace, manager: str) -> ExperimentConfig:
         kmn_fraction=args.kmn,
         speculation=args.speculation,
         timeline_enabled=getattr(args, "utilization", False),
-        network_engine=args.network_engine,
-        alloc_engine=getattr(args, "alloc_engine", "incremental"),
         alloc_coalesce=not getattr(args, "per_event_alloc", False),
         perf_counters=getattr(args, "perf", False),
         trace=getattr(args, "trace", None) is not None,
@@ -777,43 +759,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     if args.list_scenarios:
         for name, scenario in all_scenarios().items():
-            tags = []
-            if scenario.engine_sensitive:
-                tags.append("engine-sensitive")
-            if not scenario.in_smoke:
-                tags.append("full-only")
-            suffix = f"  [{', '.join(tags)}]" if tags else ""
+            suffix = "" if scenario.in_smoke else "  [full-only]"
             print(f"{name:16s} {scenario.title}{suffix}")
         return 0
 
-    profile = ScenarioProfile(
-        smoke=args.smoke,
-        seed=args.seed,
-        network_engine=args.network_engine,
-        alloc_engine=args.alloc_engine,
-    )
-    # The smoke gate pins every self-consistent engine stack (seed,
-    # incremental, vectorized); a manual single-variant run validates
-    # exactly the engines it was given.
-    variants = (
-        [
-            ("incremental", "incremental"),
-            ("reference", "reference"),
-            ("vectorized", "vectorized"),
-        ]
-        if args.smoke
-        else [(args.network_engine, args.alloc_engine)]
-    )
     report = run_validation_suite(
         args.scenario_names,
-        profile,
-        engine_variants=variants,
+        ScenarioProfile(smoke=args.smoke, seed=args.seed),
         jobs=args.jobs,
         progress=lambda label: print(f"  running {label} ..."),
     )
 
-    widths = (16, 26, 8, 6)
-    header = ["scenario", "engines", "checks", "result"]
+    widths = (16, 8, 6)
+    header = ["scenario", "checks", "result"]
     print()
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in report.summary_rows():

@@ -11,10 +11,9 @@ field confirms the correlation.
 
 Two complementary mitigations:
 
-* the allocation engines now allocate almost nothing per round (lazy
-  ``_AppRound`` job state; numpy buffers in the vectorized engine are
-  invisible to the cyclic collector), so rounds stop *triggering*
-  collections; and
+* the incremental allocation engine allocates almost nothing per round
+  (lazy ``_AppRound`` job state), so rounds stop *triggering* collections;
+  and
 * :func:`freeze_world` moves the long-lived world into the permanently
   frozen generation after setup — the standard long-running-service
   technique (``gc.freeze``) — so the collections that still fire no longer

@@ -25,8 +25,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.core.demand import AllocationPlan, AppDemand, JobDemand, TaskDemand
 from repro.core.interapp import pick_min_locality
 
@@ -35,11 +33,11 @@ __all__ = [
     "DataAwareAllocator",
     "two_level_allocate",
     "two_level_allocate_incremental",
-    "two_level_allocate_vectorized",
 ]
 
-#: Selectable allocator implementations (all produce identical plans).
-ALLOCATION_ENGINES = ("incremental", "reference", "vectorized")
+#: Allocator implementations (identical plans): the production heap engine
+#: and the seed rescan, kept as the test oracle.
+ALLOCATION_ENGINES = ("incremental", "reference")
 
 
 @dataclass
@@ -354,217 +352,14 @@ def two_level_allocate_incremental(
     return plan
 
 
-class _VecAppRound:
-    """Array-backed per-application round state for the vectorized engine.
-
-    Flattens the app's (job, task, candidate) structure into numpy arrays
-    once per round — candidate ids pre-mapped to cluster-order positions and
-    pre-sorted per task — so the desired-step scan is boolean indexing over
-    contiguous segments instead of per-probe Python list builds, and the
-    per-round garbage is a handful of untracked numpy buffers instead of a
-    ``_JobRound``-per-job object storm.  Decisions are replayed in exactly
-    the incremental engine's order: jobs by ``(pending count, job id)``,
-    tasks in demand order, executors by smallest available cluster order.
-    """
-
-    __slots__ = (
-        "demand",
-        "granted",
-        "promised_tasks",
-        "satisfied_jobs",
-        "tasks",
-        "n_jobs",
-        "job_off",
-        "cand_off",
-        "cand_flat",
-        "alive",
-        "pending",
-        "unsat",
-        "job_rank",
-        "_task_den",
-    )
-
-    def __init__(self, demand: AppDemand, order: Dict[str, int]) -> None:
-        self.demand = demand
-        self.granted = 0
-        self.promised_tasks = 0
-        self.satisfied_jobs = 0
-        jobs = demand.jobs
-        self.n_jobs = len(jobs)
-        tasks: List[TaskDemand] = []
-        job_off = np.zeros(len(jobs) + 1, dtype=np.int64)
-        for j, job in enumerate(jobs):
-            tasks.extend(job.tasks)
-            job_off[j + 1] = len(tasks)
-        self.tasks = tasks
-        self.job_off = job_off
-        flat: List[int] = []
-        cand_off = np.zeros(len(tasks) + 1, dtype=np.int64)
-        for t, task in enumerate(tasks):
-            flat.extend(sorted(order[c] for c in task.candidates if c in order))
-            cand_off[t + 1] = len(flat)
-        self.cand_flat = np.asarray(flat, dtype=np.int64)
-        self.cand_off = cand_off
-        self.alive = np.ones(len(tasks), dtype=bool)
-        self.pending = np.diff(job_off)
-        self.unsat = np.fromiter(
-            (j.unsatisfied for j in jobs), dtype=np.int64, count=len(jobs)
-        )
-        self._task_den = int(self.unsat.sum())
-        # Lexicographic rank of each job id, fixed for the round; combined
-        # with the live pending counts it reproduces the engines' job sort
-        # key (pending count, job id) via a single integer lexsort.
-        by_id = sorted(range(len(jobs)), key=lambda j: jobs[j].job_id)
-        self.job_rank = np.zeros(len(jobs), dtype=np.int64)
-        for rank, j in enumerate(by_id):
-            self.job_rank[j] = rank
-
-    @property
-    def budget_left(self) -> int:
-        return self.demand.budget - self.granted
-
-    def locality_key(self) -> tuple:
-        d = self.demand
-        job_den = d.decided_jobs + self.n_jobs
-        job_num = d.local_jobs + self.satisfied_jobs
-        task_den = d.decided_tasks + self._task_den
-        task_num = d.local_tasks + self.promised_tasks
-        job_frac = job_num / job_den if job_den else 0.0
-        task_frac = task_num / task_den if task_den else 0.0
-        return (job_frac, task_frac, d.app_id)
-
-    def _job_order(self) -> np.ndarray:
-        return np.lexsort((self.job_rank, self.pending))
-
-    def next_desired(self, avail: np.ndarray):
-        """Next (job idx, task idx, executor position) or None."""
-        for j in self._job_order():
-            lo, hi = int(self.job_off[j]), int(self.job_off[j + 1])
-            for t in range(lo, hi):
-                if not self.alive[t]:
-                    continue
-                seg = self.cand_flat[self.cand_off[t] : self.cand_off[t + 1]]
-                mask = avail[seg]
-                if mask.any():
-                    return int(j), t, int(seg[int(np.argmax(mask))])
-        return None
-
-    def next_colocated(self, position: int):
-        """Next promisable (job idx, task idx) with ``position`` a candidate."""
-        for j in self._job_order():
-            lo, hi = int(self.job_off[j]), int(self.job_off[j + 1])
-            for t in range(lo, hi):
-                if not self.alive[t]:
-                    continue
-                seg = self.cand_flat[self.cand_off[t] : self.cand_off[t + 1]]
-                i = int(np.searchsorted(seg, position))
-                if i < seg.size and seg[i] == position:
-                    return int(j), t
-        return None
-
-    def note_promise(self, j: int, t: int) -> None:
-        """Record a task promise (grant or co-located assignment)."""
-        self.alive[t] = False
-        self.pending[j] -= 1
-        self.promised_tasks += 1
-        if self.pending[j] == 0 and self.unsat[j] > 0:
-            self.satisfied_jobs += 1
-
-
-def two_level_allocate_vectorized(
-    apps: Sequence[AppDemand],
-    idle_executors: Sequence[str],
-    *,
-    fill: bool = True,
-    fill_limits: Optional[Dict[str, int]] = None,
-    executor_capacity: int = 1,
-) -> AllocationPlan:
-    """Numpy-backed :func:`two_level_allocate_incremental`; identical plans.
-
-    Same heap discipline as the incremental engine (one live key per app,
-    pop → grant → push; one sorted fill pass), but the per-app round state
-    lives in flat numpy arrays (:class:`_VecAppRound`): candidate sets are
-    mapped to cluster-order positions once, availability is a boolean vector
-    indexed by position, and the desired-executor pick is an ``argmax`` over
-    a pre-sorted candidate segment.  Numpy buffers are invisible to the
-    cyclic garbage collector, so a round's allocation churn no longer
-    triggers the full collections behind the 32-tenant p99 tail.  The
-    equivalence suite asserts plan identity against both other engines.
-    """
-    if executor_capacity < 1:
-        raise ValueError(f"executor_capacity must be >= 1, got {executor_capacity}")
-    plan = AllocationPlan()
-    idle = list(idle_executors)
-    order = {ex: i for i, ex in enumerate(idle)}
-    avail = np.ones(len(idle), dtype=bool)
-    n_avail = len(idle)
-    rounds = {a.app_id: _VecAppRound(a, order) for a in apps}
-
-    # ------------------------------------------------------- locality phase
-    key_heap: List[Tuple[float, float, str]] = [
-        state.locality_key() for state in rounds.values()
-    ]
-    heapq.heapify(key_heap)
-
-    while n_avail and key_heap:
-        app_id = heapq.heappop(key_heap)[2]
-        state = rounds[app_id]
-        if state.budget_left <= 0:
-            continue
-        step = state.next_desired(avail)
-        if step is None:
-            continue
-        j, t, position = step
-        avail[position] = False
-        n_avail -= 1
-        executor = idle[position]
-        plan.grant(app_id, executor)
-        plan.assign(state.tasks[t].task_id, executor)
-        state.granted += 1
-        state.note_promise(j, t)
-        for _ in range(executor_capacity - 1):
-            extra = state.next_colocated(position)
-            if extra is None:
-                break
-            extra_j, extra_t = extra
-            plan.assign(state.tasks[extra_t].task_id, executor)
-            state.note_promise(extra_j, extra_t)
-        heapq.heappush(key_heap, state.locality_key())
-
-    # ----------------------------------------------------------- fill phase
-    if fill and n_avail:
-        limits = {
-            app_id: max(0, cap - rounds[app_id].granted)
-            for app_id, cap in (fill_limits or {}).items()
-        }
-        exec_heap = [(int(i), idle[int(i)]) for i in np.flatnonzero(avail)]
-        heapq.heapify(exec_heap)
-        for key in sorted(state.locality_key() for state in rounds.values()):
-            if not exec_heap:
-                break
-            state = rounds[key[2]]
-            while (
-                exec_heap
-                and state.budget_left > 0
-                and limits.get(key[2], 1) > 0
-            ):
-                _, executor = heapq.heappop(exec_heap)
-                plan.grant(key[2], executor)
-                state.granted += 1
-                if key[2] in limits:
-                    limits[key[2]] -= 1
-
-    return plan
-
-
 class DataAwareAllocator:
     """Object façade over the allocation engines with stable settings.
 
     Keeps the fill policy in one place so the Custody manager and the
     ablation benches construct allocation rounds identically.  ``engine``
-    selects the implementation: ``"incremental"`` (heap-based, the default),
-    ``"reference"`` (the seed from-scratch rescan) or ``"vectorized"``
-    (numpy-backed heap engine) — all produce bitwise-identical plans.
+    selects the implementation: ``"incremental"`` (heap-based, the default)
+    or ``"reference"`` (the seed from-scratch rescan, a test oracle) — both
+    produce bitwise-identical plans.
     """
 
     def __init__(
@@ -593,7 +388,6 @@ class DataAwareAllocator:
         run = {
             "incremental": two_level_allocate_incremental,
             "reference": two_level_allocate,
-            "vectorized": two_level_allocate_vectorized,
         }[self.engine]
         return run(
             apps,

@@ -14,8 +14,6 @@ _MANAGERS = ("custody", "standalone", "yarn", "mesos")
 _SCHEDULERS = ("delay", "fifo", "locality-first")
 _PLACEMENTS = ("random", "rack-aware", "popularity")
 _WORKLOADS = ("pagerank", "wordcount", "sort")
-_NETWORK_ENGINES = ("incremental", "reference", "vectorized")
-_ALLOC_ENGINES = ("incremental", "reference", "vectorized")
 
 
 @dataclass(frozen=True)
@@ -65,8 +63,6 @@ class ExperimentConfig:
     custody_enforce_hints: bool = False  # enforce z^u_ijk suggestions (§V)
     timeline_enabled: bool = False
     validate_plans: bool = False
-    network_engine: str = "incremental"  # flow-rate allocator: incremental | reference
-    alloc_engine: str = "incremental"  # allocation control plane: incremental | reference
     alloc_coalesce: bool = True  # coalesce same-instant allocation rounds
     perf_counters: bool = False  # collect PerfCounters from the engine hot paths
     trace: bool = False  # attach a repro.obs Tracer (ring sink) to the run
@@ -147,16 +143,6 @@ class ExperimentConfig:
         if self.shuffle_fanout < 1:
             raise ConfigurationError(
                 f"shuffle_fanout must be >= 1, got {self.shuffle_fanout}"
-            )
-        if self.network_engine not in _NETWORK_ENGINES:
-            raise ConfigurationError(
-                f"network_engine must be one of {_NETWORK_ENGINES}, "
-                f"got {self.network_engine!r}"
-            )
-        if self.alloc_engine not in _ALLOC_ENGINES:
-            raise ConfigurationError(
-                f"alloc_engine must be one of {_ALLOC_ENGINES}, "
-                f"got {self.alloc_engine!r}"
             )
         if self.heartbeat_interval <= 0:
             raise ConfigurationError(

@@ -272,7 +272,6 @@ def run_validation_suite(
     names: Optional[Sequence[str]] = None,
     profile: Optional[Any] = None,
     *,
-    engine_variants: Optional[Sequence[tuple]] = None,
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ):
@@ -290,24 +289,15 @@ def run_validation_suite(
         ScenarioResult,
         SuiteReport,
         plan_suite,
-        suite_cell_label,
     )
 
     if profile is None:
         profile = ScenarioProfile()
-    cells = plan_suite(names, profile, engine_variants=engine_variants)
+    cells = plan_suite(names, profile)
     shards = [
         Shard(
             key=(index,),
-            payload={
-                "name": name,
-                "profile": {
-                    "smoke": p.smoke,
-                    "seed": p.seed,
-                    "network_engine": p.network_engine,
-                    "alloc_engine": p.alloc_engine,
-                },
-            },
+            payload={"name": name, "profile": {"smoke": p.smoke, "seed": p.seed}},
         )
         for index, (name, p) in enumerate(cells)
     ]
@@ -315,8 +305,8 @@ def run_validation_suite(
         # Parallel cells interleave, so announce the dispatch plan up front
         # (at jobs == 1 this prints the same lines the serial runner would,
         # just before the batch instead of before each cell).
-        for name, p in cells:
-            progress(suite_cell_label(name, p))
+        for name, _ in cells:
+            progress(name)
     payloads = run_sharded(_validate_cell_worker, shards, jobs)
     return SuiteReport(results=[ScenarioResult.from_dict(d) for d in payloads])
 

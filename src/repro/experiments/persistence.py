@@ -32,6 +32,9 @@ _FORMAT_VERSION = 2
 #: Versions ``load_result`` still understands (v1 lacked the nested
 #: per-section ``format_version`` markers and derived metric fields).
 _READABLE_VERSIONS = (1, 2)
+#: Config keys older results carry for knobs that no longer exist (engine
+#: selection left the config once each layer shipped one engine).
+_RETIRED_CONFIG_KEYS = ("network_engine", "alloc_engine")
 
 
 def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
@@ -90,8 +93,11 @@ def load_result(path: Union[str, Path]) -> Dict[str, Any]:
     metrics_raw["local_job_fraction_per_app"] = tuple(
         metrics_raw["local_job_fraction_per_app"]
     )
+    config_raw = dict(data["config"])
+    for key in _RETIRED_CONFIG_KEYS:
+        config_raw.pop(key, None)
     return {
-        "config": ExperimentConfig(**data["config"]),
+        "config": ExperimentConfig(**config_raw),
         "metrics": ExperimentMetrics(**metrics_raw),
         "sim_time": data["sim_time"],
         "allocation_rounds": data["allocation_rounds"],

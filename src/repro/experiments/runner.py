@@ -179,7 +179,6 @@ def _make_manager(
         weights=weights,
         timeline=timeline,
         tracer=tracer,
-        alloc_engine=config.alloc_engine,
         coalesce=config.alloc_coalesce,
         counters=perf,
         metrics=metrics,
@@ -283,7 +282,6 @@ def run_experiment(
     fabric = NetworkFabric(
         sim,
         timeline=timeline if config.timeline_enabled else None,
-        engine=config.network_engine,
         counters=perf,
         tracer=tracer,
         metrics=metrics,

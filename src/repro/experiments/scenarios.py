@@ -204,9 +204,7 @@ class _FixedPlacement(PlacementPolicy):
 
 
 def _run_fig45(
-    allocated: Sequence[int],
-    timeline: bool = False,
-    network_engine: str = "incremental",
+    allocated: Sequence[int], timeline: bool = False
 ) -> Tuple[Tuple[float, ...], Optional[Timeline]]:
     """Simulate app A5 with executors on the given worker indices.
 
@@ -217,7 +215,7 @@ def _run_fig45(
     """
     sim = Simulation()
     trace = Timeline(clock=lambda: sim.now) if timeline else None
-    fabric = NetworkFabric(sim, timeline=trace, engine=network_engine)
+    fabric = NetworkFabric(sim, timeline=trace)
     cluster = Cluster(
         ClusterConfig(
             num_nodes=4,
@@ -288,7 +286,7 @@ def fig45_intraapp_example() -> Fig45Result:
     )
 
 
-def fig45_intraapp_trace(network_engine: str = "incremental") -> Dict[str, Any]:
+def fig45_intraapp_trace() -> Dict[str, Any]:
     """Both Fig. 4/5 arms with their full event traces, JSON-serialisable.
 
     The golden-trace determinism fixture: any behavioural drift in the
@@ -297,9 +295,7 @@ def fig45_intraapp_trace(network_engine: str = "incremental") -> Dict[str, Any]:
     """
     arms: Dict[str, Any] = {}
     for name, allocated in (("fairness", [0, 2]), ("priority", [0, 1])):
-        jcts, trace = _run_fig45(
-            allocated, timeline=True, network_engine=network_engine
-        )
+        jcts, trace = _run_fig45(allocated, timeline=True)
         assert trace is not None
         arms[name] = {
             "allocated": list(allocated),

@@ -24,7 +24,9 @@ Two control-plane implementations share this round structure:
 
 * ``alloc_engine="reference"`` — the seed from-scratch path: every round
   rebuilds every application's demand with per-task NameNode lookups and
-  full locality-history scans.
+  full locality-history scans.  Runs never select it; it is the oracle the
+  equivalence tests and the allocation bench reach through this
+  constructor.
 * ``alloc_engine="incremental"`` (default) — live indexes: a per-round
   NameNode replica memo (keyed on ``NameNode.version``) shared between
   release, usefulness and demand building; a per-driver demand cache whose
@@ -170,7 +172,7 @@ class CustodyManager(ClusterManager):
         correct (and rare) path there.
         """
         return (
-            self.alloc_engine in ("incremental", "vectorized")
+            self.alloc_engine == "incremental"
             and self.fault_injector is None
         )
 

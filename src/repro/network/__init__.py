@@ -14,7 +14,8 @@ flow granularity:
 * all flow changes of one simulated instant batch into a single recompute,
   and the default :class:`~repro.network.rate_engine.RateEngine` re-rates
   only the affected connected component of the link-flow graph
-  (``maxmin_rates`` remains the from-scratch reference implementation).
+  (``maxmin_rates`` remains the from-scratch reference implementation,
+  which tests reach through ``NetworkFabric(engine="reference")``).
 
 This is the standard fluid approximation used by flow-level datacenter
 simulators; it captures contention and elasticity without per-packet cost.

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 
-__all__ = ["LinkCapacities", "maxmin_rates", "maxmin_rates_vectorized"]
+__all__ = ["LinkCapacities", "maxmin_rates"]
 
 
 @dataclass
@@ -131,89 +131,5 @@ def maxmin_rates(
         np.add.at(consumed, flow_links[crosses, 1], share)
         # Loopback-frozen rows never reach here; double-count is impossible.
         remaining = np.maximum(remaining - consumed, 0.0)
-
-    return rates.tolist()
-
-
-def maxmin_rates_vectorized(
-    flows: Sequence[Tuple[str, str]],
-    capacities: LinkCapacities,
-) -> List[float]:
-    """Bitwise-identical :func:`maxmin_rates` with incremental bookkeeping.
-
-    Progressive filling freezes one bottleneck per iteration; the reference
-    rescans the whole active set to rebuild per-link flow counts each time —
-    O(flows) per iteration on top of the O(links) share scan.  This variant
-    maintains the count vector incrementally: counts start as one bincount
-    over all non-loopback flows and each iteration subtracts exactly the
-    frozen flows' incidence.  Counts are integers (stored as float64 and
-    well below 2**53), so the subtraction is exact, ``remaining / counts``
-    sees bit-identical operands, and the freeze order — hence every rate —
-    matches the reference exactly.  The equivalence suite pins this.
-    """
-    n = len(flows)
-    if n == 0:
-        return []
-
-    link_index: Dict[Tuple[str, str], int] = {}
-    link_caps: List[float] = []
-
-    def _link(kind: str, node: str) -> int:
-        key = (kind, node)
-        idx = link_index.get(key)
-        if idx is None:
-            caps = capacities.uplink if kind == "up" else capacities.downlink
-            if node not in caps:
-                raise ConfigurationError(f"flow references unregistered node {node!r}")
-            idx = len(link_caps)
-            link_index[key] = idx
-            link_caps.append(caps[node])
-        return idx
-
-    flow_links = np.empty((n, 2), dtype=np.int64)
-    loopback = np.zeros(n, dtype=bool)
-    for i, (src, dst) in enumerate(flows):
-        if src == dst:
-            loopback[i] = True
-            idx = _link("up", src)
-            flow_links[i, 0] = idx
-            flow_links[i, 1] = idx
-        else:
-            flow_links[i, 0] = _link("up", src)
-            flow_links[i, 1] = _link("down", dst)
-
-    caps = np.asarray(link_caps, dtype=np.float64)
-    rates = np.zeros(n, dtype=np.float64)
-    frozen = loopback.copy()
-    rates[loopback] = np.inf
-
-    remaining = caps.copy()
-    counts = np.bincount(flow_links[~frozen].ravel(), minlength=len(caps)).astype(
-        np.float64
-    )
-    active_flows = n - int(frozen.sum())
-    while active_flows:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shares = np.where(counts > 0, remaining / counts, np.inf)
-        bottleneck = int(np.argmin(shares))
-        share = shares[bottleneck]
-        if not np.isfinite(share):
-            break
-        crosses = ~frozen & (
-            (flow_links[:, 0] == bottleneck) | (flow_links[:, 1] == bottleneck)
-        )
-        rates[crosses] = share
-        frozen |= crosses
-        consumed = np.zeros_like(remaining)
-        np.add.at(consumed, flow_links[crosses, 0], share)
-        np.add.at(consumed, flow_links[crosses, 1], share)
-        remaining = np.maximum(remaining - consumed, 0.0)
-        # Retire the frozen flows from the counts: exact integer arithmetic
-        # in float64, so the next iteration's shares match the reference's
-        # from-scratch bincount bit for bit.
-        counts -= np.bincount(
-            flow_links[crosses].ravel(), minlength=len(caps)
-        ).astype(np.float64)
-        active_flows -= int(crosses.sum())
 
     return rates.tolist()

@@ -14,7 +14,9 @@ The flush itself runs one of two allocators:
   component(s) of the link-flow graph affected by the batch;
 * ``engine="reference"``: the original recompute-from-scratch
   :func:`~repro.network.bandwidth.maxmin_rates` path, kept as the
-  behaviourally identical oracle for golden-trace and equivalence tests.
+  behaviourally identical oracle for golden-trace and equivalence tests
+  (reached only by constructing the fabric directly; runs always use the
+  default).
 
 Either way the fabric then applies only the rates that actually changed and
 tracks completions in a lazy min-heap of absolute finish times, so an event
@@ -33,11 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, TransferFailedError
 from repro.common.ids import IdFactory
-from repro.network.bandwidth import (
-    LinkCapacities,
-    maxmin_rates,
-    maxmin_rates_vectorized,
-)
+from repro.network.bandwidth import LinkCapacities, maxmin_rates
 from repro.network.rate_engine import RateEngine
 from repro.network.transfer import Transfer
 from repro.obs.events import TransferSpan
@@ -71,9 +69,8 @@ class NetworkFabric:
     timeline:
         Optional trace sink; transfer start/finish records are written to it.
     engine:
-        ``"incremental"`` (default), ``"reference"`` or ``"vectorized"``
-        (incremental dirty-component machinery with the numpy-bookkeeping
-        water-filling kernel) — see module docstring.
+        ``"incremental"`` (default) or ``"reference"`` (the test oracle) —
+        see module docstring.
     counters:
         Optional :class:`~repro.metrics.collector.PerfCounters` accumulator.
     """
@@ -87,10 +84,9 @@ class NetworkFabric:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        if engine not in ("incremental", "reference", "vectorized"):
+        if engine not in ("incremental", "reference"):
             raise ConfigurationError(
-                f"engine must be 'incremental', 'reference' or 'vectorized', "
-                f"got {engine!r}"
+                f"engine must be 'incremental' or 'reference', got {engine!r}"
             )
         self.sim = sim
         self.timeline = timeline
@@ -131,20 +127,14 @@ class NetworkFabric:
             buckets=SIZE_BUCKETS,
         ).labels(engine=engine)
         self.capacities = LinkCapacities()
-        self.engine_mode = engine
-        # "vectorized" is the incremental engine with the numpy-bookkeeping
-        # water-filling kernel — same dirty-component machinery, bitwise
-        # identical rates (pinned by the equivalence suites).
         self._engine: Optional[RateEngine] = (
             RateEngine(
                 self.capacities,
                 counters=counters,
                 tracer=self.tracer,
                 metrics=self.metrics,
-                kernel=maxmin_rates_vectorized if engine == "vectorized" else None,
-                engine_label=engine,
             )
-            if engine in ("incremental", "vectorized")
+            if engine == "incremental"
             else None
         )
         self._active: Dict[str, Transfer] = {}

@@ -31,11 +31,7 @@ import time
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.network.bandwidth import (
-    LinkCapacities,
-    maxmin_rates,
-    maxmin_rates_vectorized,
-)
+from repro.network.bandwidth import LinkCapacities, maxmin_rates
 from repro.obs.metrics import NULL_METRICS, SIZE_BUCKETS
 
 __all__ = ["RateEngine"]
@@ -73,30 +69,23 @@ class RateEngine:
         counters: Optional[object] = None,
         tracer: Optional[object] = None,
         metrics: Optional[object] = None,
-        kernel: Optional[object] = None,
-        engine_label: str = "incremental",
     ):
         self.capacities = capacities
         self.counters = counters
         self.tracer = tracer
-        # The water-filling kernel used to re-solve affected components:
-        # the reference `maxmin_rates` (default) or the bitwise-identical
-        # `maxmin_rates_vectorized` when the fabric runs --network-engine
-        # vectorized.
-        self._kernel = maxmin_rates if kernel is None else kernel
         if metrics is None:
             metrics = NULL_METRICS
         self._m_recomputes = metrics.counter(
             "net_rate_recomputes_total",
             "Water-filling passes executed, by allocator engine.",
             ("engine",),
-        ).labels(engine=engine_label)
+        ).labels(engine="incremental")
         self._m_component = metrics.histogram(
             "net_dirty_component_flows",
             "Flows re-rated per recompute (dirty-component size).",
             ("engine",),
             buckets=SIZE_BUCKETS,
-        ).labels(engine=engine_label)
+        ).labels(engine="incremental")
         self._flows: Dict[Hashable, Tuple[str, str]] = {}
         self._seq: Dict[Hashable, int] = {}
         self._next_seq = 0
@@ -222,7 +211,7 @@ class RateEngine:
         if affected:
             ordered = sorted(affected, key=self._seq.__getitem__)
             flows = [self._flows[fid] for fid in ordered]
-            rates = self._kernel(flows, self.capacities)
+            rates = maxmin_rates(flows, self.capacities)
             for fid, rate in zip(ordered, rates):
                 self._rates[fid] = rate
                 changed[fid] = rate

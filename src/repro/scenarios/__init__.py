@@ -25,7 +25,6 @@ from repro.scenarios.base import (
     plan_suite,
     register,
     run_suite,
-    suite_cell_label,
 )
 
 # Importing the scenario modules registers their scenarios.
@@ -49,5 +48,4 @@ __all__ = [
     "plan_suite",
     "register",
     "run_suite",
-    "suite_cell_label",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "get_scenario",
     "all_scenarios",
     "plan_suite",
-    "suite_cell_label",
     "run_suite",
 ]
 
@@ -137,18 +136,14 @@ class Check:
 
 @dataclass(frozen=True)
 class ScenarioProfile:
-    """How hard to drive a scenario, and against which engine variants.
+    """How hard to drive a scenario.
 
     ``smoke`` trades sample size for wall time (CI gate); the full profile
-    is the nightly/manual setting.  The engine fields select the network
-    and allocation implementations for the scenarios that run through the
-    full experiment stack; pure-engine queueing scenarios ignore them.
+    is the nightly/manual setting.
     """
 
     smoke: bool = False
     seed: int = 0
-    network_engine: str = "incremental"
-    alloc_engine: str = "incremental"
 
     def scaled(self, full: int, smoke: int) -> int:
         """Pick a sample count for this profile."""
@@ -185,8 +180,6 @@ class ScenarioResult:
             "profile": {
                 "smoke": self.profile.smoke,
                 "seed": self.profile.seed,
-                "network_engine": self.profile.network_engine,
-                "alloc_engine": self.profile.alloc_engine,
             },
             "params": dict(self.params),
             "checks": [c.as_dict() for c in self.checks],
@@ -208,18 +201,10 @@ class ScenarioResult:
 
 
 class ValidationScenario:
-    """Base class: subclasses set the metadata and implement :meth:`build`.
-
-    ``engine_sensitive`` marks scenarios whose measurements flow through
-    the network/allocation engines — the validate CLI repeats those under
-    each engine variant, so both the optimized and the seed implementation
-    obey the same physics.
-    """
+    """Base class: subclasses set the metadata and implement :meth:`build`."""
 
     name: str = ""
     title: str = ""
-    #: runs through run_experiment → repeat under each engine variant
-    engine_sensitive: bool = False
     #: included in ``repro validate --smoke`` (the CI gate)
     in_smoke: bool = True
 
@@ -286,28 +271,20 @@ class SuiteReport:
         }
 
     def summary_rows(self) -> List[List[Any]]:
-        """Rows for the CLI table: scenario, engines, checks, verdict."""
-        rows = []
-        for r in self.results:
-            engines = (
-                f"{r.profile.network_engine}/{r.profile.alloc_engine}"
-                if get_scenario(r.name).engine_sensitive
-                else "-"
-            )
-            rows.append([
+        """Rows for the CLI table: scenario, checks, verdict."""
+        return [
+            [
                 r.name,
-                engines,
                 f"{sum(c.passed for c in r.checks)}/{len(r.checks)}",
                 "pass" if r.passed else "FAIL",
-            ])
-        return rows
+            ]
+            for r in self.results
+        ]
 
 
 def plan_suite(
     names: Optional[Sequence[str]] = None,
     profile: ScenarioProfile = ScenarioProfile(),
-    *,
-    engine_variants: Optional[Sequence[tuple]] = None,
 ) -> List[tuple]:
     """The ordered ``(scenario name, profile)`` cells a suite run executes.
 
@@ -316,58 +293,29 @@ def plan_suite(
     shards it by cell index — so a merged parallel report lists exactly the
     results, in exactly the order, a serial run would have produced.
     """
-    from dataclasses import replace
-
-    registry = all_scenarios()
     if names:
-        picked = [(n, get_scenario(n)) for n in names]
+        picked = [get_scenario(n).name for n in names]
     else:
         picked = [
-            (n, s)
-            for n, s in registry.items()
-            if s.in_smoke or not profile.smoke
+            n for n, s in all_scenarios().items() if s.in_smoke or not profile.smoke
         ]
-    cells: List[tuple] = []
-    for name, scenario in picked:
-        if scenario.engine_sensitive and engine_variants:
-            profiles = [
-                replace(profile, network_engine=net, alloc_engine=alloc)
-                for net, alloc in engine_variants
-            ]
-        else:
-            profiles = [profile]
-        for p in profiles:
-            cells.append((name, p))
-    return cells
-
-
-def suite_cell_label(name: str, profile: ScenarioProfile) -> str:
-    """The progress label for one suite cell."""
-    tag = (
-        f" [{profile.network_engine}/{profile.alloc_engine}]"
-        if get_scenario(name).engine_sensitive
-        else ""
-    )
-    return f"{name}{tag}"
+    return [(name, profile) for name in picked]
 
 
 def run_suite(
     names: Optional[Sequence[str]] = None,
     profile: ScenarioProfile = ScenarioProfile(),
     *,
-    engine_variants: Optional[Sequence[tuple]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SuiteReport:
     """Run scenarios (all registered ones by default) under ``profile``.
 
-    ``engine_variants`` is a sequence of ``(network_engine, alloc_engine)``
-    pairs; engine-sensitive scenarios run once per pair (pure-engine
-    scenarios run once, under the profile's own engines).  In smoke mode,
-    scenarios with ``in_smoke = False`` are skipped unless explicitly named.
+    In smoke mode, scenarios with ``in_smoke = False`` are skipped unless
+    explicitly named.
     """
     report = SuiteReport()
-    for name, p in plan_suite(names, profile, engine_variants=engine_variants):
+    for name, p in plan_suite(names, profile):
         if progress is not None:
-            progress(suite_cell_label(name, p))
+            progress(name)
         report.results.append(get_scenario(name).run(p))
     return report

@@ -43,7 +43,6 @@ class BrownoutScenario(ValidationScenario):
 
     name = "brownout"
     title = "Brownout: slowdown inflation band, breaker reconvergence, MTTR"
-    engine_sensitive = True
 
     NODES = 10
     SLOWED = 3
@@ -64,8 +63,6 @@ class BrownoutScenario(ValidationScenario):
             num_apps=2,
             jobs_per_app=profile.scaled(4, 3),
             seed=profile.seed,
-            network_engine=profile.network_engine,
-            alloc_engine=profile.alloc_engine,
             detector_timeout=self.DETECTOR_TIMEOUT,
             detector_mode="adaptive",
             detector_suspect_after=2.5,

@@ -19,9 +19,7 @@ The left sides integrate sampled cluster state; the right sides are pure
 timestamp arithmetic.  They agree only if executor occupancy intervals
 and driver timestamps describe the *same* physical schedule — a drifted
 clock, a leaked slot, or a task launched while still counted pending all
-show up as a band violation.  Runs under every engine variant
-(``engine_sensitive``), so the incremental network and allocation paths
-obey the same physics as the seed implementations they replaced.
+show up as a band violation.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ class LittlesLawScenario(ValidationScenario):
 
     name = "littles_law"
     title = "Little's law across cluster and workload layers"
-    engine_sensitive = True
 
     #: fine sampling grid — the integration error of the cluster-layer
     #: estimate must stay well inside the 5% acceptance band
@@ -74,8 +71,6 @@ class LittlesLawScenario(ValidationScenario):
             num_apps=2,
             jobs_per_app=profile.scaled(6, 4),
             seed=profile.seed,
-            network_engine=profile.network_engine,
-            alloc_engine=profile.alloc_engine,
             trace=True,
             trace_sample_interval=self.SAMPLE_INTERVAL,
         )

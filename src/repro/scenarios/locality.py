@@ -65,8 +65,6 @@ class LocalityConvergenceScenario(ValidationScenario):
                 # bound is tight (§ analysis/expectations docstring).
                 mean_interarrival=60.0,
                 delay_wait=10.0,
-                network_engine=profile.network_engine,
-                alloc_engine=profile.alloc_engine,
             )
             run = run_experiment(config)
             measured.append(run.metrics.locality_mean)

@@ -17,10 +17,6 @@ expectations, not just "it eventually works":
   by at most the time it was stalled, so mean JCT and makespan inflate by
   at most ``outage + reconciliation_window`` over the fault-free run (the
   crash arm replays the baseline's trace: common-trace methodology).
-
-The scenario is engine-sensitive: the validate CLI repeats it under both
-network engines and both allocation engines, so the recovery machinery
-obeys the same bounds on the optimized and the reference stacks.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ class RecoveryScenario(ValidationScenario):
 
     name = "recovery"
     title = "Crash-recovery: lease conservation and bounded JCT inflation"
-    engine_sensitive = True
 
     NODES = 10
     CRASH_AT = 20.0
@@ -64,8 +59,6 @@ class RecoveryScenario(ValidationScenario):
             num_apps=2,
             jobs_per_app=profile.scaled(4, 3),
             seed=profile.seed,
-            network_engine=profile.network_engine,
-            alloc_engine=profile.alloc_engine,
             timeline_enabled=True,
             manager_recovery=True,
             lease_duration=self.LEASE_DURATION,

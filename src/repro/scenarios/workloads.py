@@ -64,7 +64,6 @@ class TraceReplayScenario(ValidationScenario):
 
     name = "trace_replay"
     title = "Cluster-trace replay through the full stack"
-    engine_sensitive = True
 
     def build(self, profile: ScenarioProfile, result: ScenarioResult) -> None:
         from repro.experiments.runner import run_experiment
@@ -76,8 +75,6 @@ class TraceReplayScenario(ValidationScenario):
             num_apps=2,
             jobs_per_app=6,  # upper bound; the trace decides the real count
             seed=profile.seed,
-            network_engine=profile.network_engine,
-            alloc_engine=profile.alloc_engine,
         )
         trace = read_cluster_trace(
             SAMPLE_TRACE_CSV.splitlines(),
@@ -131,7 +128,6 @@ class DiurnalScenario(ValidationScenario):
 
     name = "diurnal"
     title = "Diurnal load curve via Lewis–Shedler thinning"
-    engine_sensitive = False
 
     #: short "day" so even the smoke trace spans multiple cycles — the
     #: peak/trough check must discriminate, not hold vacuously
@@ -147,8 +143,6 @@ class DiurnalScenario(ValidationScenario):
             num_apps=2,
             jobs_per_app=profile.scaled(10, 6),
             seed=profile.seed,
-            network_engine=profile.network_engine,
-            alloc_engine=profile.alloc_engine,
         )
         rng = RngStreams(seed=profile.seed).get("scenarios.diurnal")
         # Zero phase: sin is positive on each period's first half, so the
@@ -198,7 +192,6 @@ class ElasticChurnScenario(ValidationScenario):
 
     name = "elastic_churn"
     title = "Elastic node churn without data loss"
-    engine_sensitive = True
 
     def build(self, profile: ScenarioProfile, result: ScenarioResult) -> None:
         from repro.experiments.runner import run_experiment
@@ -212,8 +205,6 @@ class ElasticChurnScenario(ValidationScenario):
             jobs_per_app=profile.scaled(6, 4),
             seed=profile.seed,
             replication=3,
-            network_engine=profile.network_engine,
-            alloc_engine=profile.alloc_engine,
         )
         rng = RngStreams(seed=profile.seed).get("scenarios.elastic_churn")
         plan = build_churn_plan(

@@ -13,6 +13,7 @@ from repro.hdfs.placement import RandomPlacement
 from repro.network.fabric import NetworkFabric
 from repro.simulation.engine import Simulation
 from repro.simulation.timeline import Timeline
+from tests.reference_stack import stack  # noqa: F401  (both engine stacks)
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from repro.core.allocation import (
     DataAwareAllocator,
     two_level_allocate,
     two_level_allocate_incremental,
-    two_level_allocate_vectorized,
 )
 from repro.core.demand import AppDemand, JobDemand, TaskDemand
 
@@ -31,9 +30,7 @@ def app(app_id, jobs, quota=4, **kw):
 def assert_engines_agree(apps, idle, **kw):
     ref = two_level_allocate(apps, list(idle), **kw)
     inc = two_level_allocate_incremental(apps, list(idle), **kw)
-    vec = two_level_allocate_vectorized(apps, list(idle), **kw)
     assert ref.signature() == inc.signature()
-    assert ref.signature() == vec.signature()
     return ref
 
 
@@ -156,7 +153,7 @@ class TestAllocatorFacade:
             DataAwareAllocator(engine="bogus")
 
     def test_engines_constant(self):
-        assert set(ALLOCATION_ENGINES) == {"incremental", "reference", "vectorized"}
+        assert set(ALLOCATION_ENGINES) == {"incremental", "reference"}
 
     def test_facade_dispatches_both_engines(self):
         a = app("A", [JobDemand("J", (task("t", "E1"),))], quota=2)

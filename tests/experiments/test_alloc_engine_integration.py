@@ -1,18 +1,17 @@
 """End-to-end equivalence of the allocation control planes.
 
-``--alloc-engine incremental`` (the default) must be a pure optimisation:
-for every manager, a full experiment run under either engine — at the same
-coalescing setting — produces identical metrics.  Coalescing itself is
-pinned separately: the runner's default (on) must match per-event rounds
-for the standard scenarios.
+The incremental engines runs always use must be a pure optimisation: for
+every manager, a full experiment run on them and on the reference stack —
+at the same coalescing setting — produces identical metrics.  Coalescing
+itself is pinned separately: the runner's default (on) must match
+per-event rounds for the standard scenarios.
 """
-
-import dataclasses
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from tests.reference_stack import reference_stack
 
 
 def small_config(**kw):
@@ -28,11 +27,9 @@ def small_config(**kw):
 
 @pytest.mark.parametrize("manager", ["custody", "standalone", "yarn", "mesos"])
 def test_engines_produce_identical_metrics(manager):
-    results = {
-        engine: run_experiment(small_config(manager=manager, alloc_engine=engine))
-        for engine in ("incremental", "reference")
-    }
-    inc, ref = results["incremental"], results["reference"]
+    inc = run_experiment(small_config(manager=manager))
+    with reference_stack():
+        ref = run_experiment(small_config(manager=manager))
     assert inc.metrics.as_dict() == ref.metrics.as_dict()
     assert inc.sim_time == ref.sim_time
     assert inc.allocation_rounds == ref.allocation_rounds
@@ -67,20 +64,17 @@ def test_alloc_counters_populate_under_perf_counters():
         assert key in payload
 
 
-def test_config_validates_alloc_engine():
-    with pytest.raises(Exception, match="alloc_engine"):
-        small_config(alloc_engine="bogus")
-    config = small_config(alloc_engine="reference")
-    assert dataclasses.replace(config, alloc_engine="incremental").alloc_coalesce
+def test_engine_selection_is_not_a_runtime_option():
+    with pytest.raises(TypeError, match="alloc_engine"):
+        small_config(alloc_engine="reference")
+    with pytest.raises(TypeError, match="network_engine"):
+        small_config(network_engine="reference")
 
-
-def test_reference_engine_reachable_from_cli_flags():
     from repro.cli import build_parser
 
     parser = build_parser()
-    args = parser.parse_args(
-        ["run", "--manager", "custody", "--alloc-engine", "reference",
-         "--per-event-alloc"]
-    )
-    assert args.alloc_engine == "reference"
+    for flag in ("--alloc-engine", "--network-engine"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "--manager", "custody", flag, "reference"])
+    args = parser.parse_args(["run", "--manager", "custody", "--per-event-alloc"])
     assert args.per_event_alloc is True

@@ -1,6 +1,7 @@
 """JSON persistence of experiment results and timelines."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.experiments.persistence import (
     save_result,
 )
 from repro.experiments.runner import run_experiment
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,31 @@ class TestBackwardCompat:
             ConfigurationError,
             match=f"unsupported result format version {version!r}",
         ):
+            load_result(path)
+
+    def test_retired_engine_keys_are_dropped(self, result, tmp_path):
+        path = save_result(result, tmp_path / "result.json")
+        data = json.loads(path.read_text())
+        data["config"].update(network_engine="reference", alloc_engine="reference")
+        path.write_text(json.dumps(data))
+        loaded = load_result(path)
+        assert loaded["config"] == result.config
+        assert loaded["metrics"] == result.metrics
+
+    def test_result_saved_with_engine_fields_loads(self):
+        # Saved by ``repro run --save`` while the config still carried the
+        # engine-selection fields (seed 7, 10 nodes, 2 x 3 wordcount jobs).
+        loaded = load_result(FIXTURES / "result_v2_engine_keys.json")
+        assert loaded["config"].seed == 7
+        assert loaded["config"].num_nodes == 10
+        assert loaded["metrics"].finished_jobs == 6
+
+    def test_unknown_config_key_still_rejected(self, result, tmp_path):
+        path = save_result(result, tmp_path / "result.json")
+        data = json.loads(path.read_text())
+        data["config"]["bogus_knob"] = 1
+        path.write_text(json.dumps(data))
+        with pytest.raises(TypeError, match="bogus_knob"):
             load_result(path)
 
     def test_error_lists_readable_versions(self, result, tmp_path):

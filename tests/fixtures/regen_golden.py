@@ -4,19 +4,21 @@ Run from the repo root after any *intentional* behaviour change::
 
     PYTHONPATH=src python tests/fixtures/regen_golden.py
 
-Every fixture is recorded under the **reference** (seed) rate allocator;
-``tests/integration/test_golden_traces.py`` then asserts that both the
-reference and the incremental engine reproduce these traces record for
-record.  Review the diff of the regenerated JSON like code: an unexpected
-change here is a silent behaviour regression.
+Every fixture is recorded on the **reference** (seed) engine stack, entered
+through ``tests.reference_stack``; the golden tests then assert that both
+the reference stack and the production engines reproduce these traces
+record for record.  Review the diff of the regenerated JSON like code: an
+unexpected change here is a silent behaviour regression.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 FIXTURES = Path(__file__).resolve().parent
+sys.path.insert(0, str(FIXTURES.parent.parent))  # the repo root, for ``tests``
 
 
 def fig1_payload() -> dict:
@@ -35,7 +37,7 @@ def fig45_payload() -> dict:
 
     return {
         "scenario": "fig45_intraapp_trace",
-        "arms": fig45_intraapp_trace(network_engine="reference"),
+        "arms": fig45_intraapp_trace(),
     }
 
 
@@ -51,7 +53,6 @@ def runner_payload() -> dict:
         jobs_per_app=2,
         seed=11,
         timeline_enabled=True,
-        network_engine="reference",
     )
     result = run_experiment(config)
     assert result.timeline is not None
@@ -102,8 +103,6 @@ def trace_replay_payload() -> dict:
             num_apps=2,
             jobs_per_app=8,
             seed=13,
-            network_engine="reference",
-            alloc_engine="reference",
         )
         result = run_experiment(config, trace=trace)
         per_manager[manager] = result.metrics.as_dict()
@@ -127,10 +126,13 @@ GOLDEN = {
 
 
 def main() -> None:
-    for name, build in GOLDEN.items():
-        path = FIXTURES / name
-        path.write_text(json.dumps(build(), indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
+    from tests.reference_stack import reference_stack
+
+    with reference_stack():
+        for name, build in GOLDEN.items():
+            path = FIXTURES / name
+            path.write_text(json.dumps(build(), indent=2, sort_keys=True) + "\n")
+            print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Golden-trace determinism: optimized simulator == pre-recorded seed traces.
 
-The fixtures under ``tests/fixtures/`` were recorded with the *reference*
-(full-recompute) rate allocator — the seed behaviour.  These tests assert
-that both allocators reproduce every fixture record for record: same seed,
-same event timeline, byte-identical JSON projection.  That pins down
+The fixtures under ``tests/fixtures/`` were recorded on the *reference*
+engine stack (full-recompute rate allocator, from-scratch allocation) — the
+seed behaviour.  These tests assert that both the reference stack (through
+``tests.reference_stack``) and the production engines reproduce every
+fixture record for record: same seed, same event timeline, byte-identical
+JSON projection.  That pins down
 
 * the incremental engine's equivalence on real scheduler workloads (not
   just synthetic flow sets), and
@@ -25,8 +27,6 @@ from repro.experiments.scenarios import fig1_motivating_example, fig45_intraapp_
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-ENGINES = ("reference", "incremental")
-
 
 def load_fixture(name: str) -> dict:
     return json.loads((FIXTURES / name).read_text())
@@ -44,10 +44,9 @@ def test_fig1_matches_golden():
     assert roundtrip(result.data_aware) == golden["data_aware"]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_fig45_trace_matches_golden(engine):
+def test_fig45_trace_matches_golden(stack):
     golden = load_fixture("golden_fig45_trace.json")["arms"]
-    arms = roundtrip(fig45_intraapp_trace(network_engine=engine))
+    arms = roundtrip(fig45_intraapp_trace())
     assert set(arms) == set(golden)
     for name in golden:
         assert arms[name]["jcts"] == golden[name]["jcts"], name
@@ -57,14 +56,9 @@ def test_fig45_trace_matches_golden(engine):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ENGINES)
-def test_runner_trace_matches_golden(engine):
+def test_runner_trace_matches_golden(stack):
     golden = load_fixture("golden_runner_trace.json")
-    config = ExperimentConfig(
-        timeline_enabled=True,
-        network_engine=engine,
-        **golden["config"],
-    )
+    config = ExperimentConfig(timeline_enabled=True, **golden["config"])
     result = run_experiment(config)
     assert result.timeline is not None
     records = roundtrip([r.as_dict() for r in result.timeline])

@@ -6,13 +6,12 @@ on WAL appends, and the coordinator only touches the manager's control
 flow while it is down.  Enabling ``manager_recovery`` without a fault
 plan must therefore leave the simulation *bitwise* on the seed
 trajectory — same timeline records, same metrics, no RNG stream
-consumed — under both network engines and both allocation engines.
+consumed — on the production engines and on the reference stack.
 That lockstep guarantee is what lets chaos runs turn the stack on by
 default without invalidating golden traces elsewhere.
 """
 
 from dataclasses import replace
-from itertools import product
 
 import pytest
 
@@ -40,17 +39,10 @@ RECOVERY = replace(
     reconciliation_window=2.0,
 )
 
-ENGINES = list(product(["reference", "incremental"], ["reference", "incremental"]))
 
-
-@pytest.mark.parametrize("network_engine,alloc_engine", ENGINES)
-def test_crash_free_run_is_locked_to_seed_trajectory(network_engine, alloc_engine):
-    plain = run_experiment(
-        replace(BASE, network_engine=network_engine, alloc_engine=alloc_engine)
-    )
-    recovered = run_experiment(
-        replace(RECOVERY, network_engine=network_engine, alloc_engine=alloc_engine)
-    )
+def test_crash_free_run_is_locked_to_seed_trajectory(stack):
+    plain = run_experiment(BASE)
+    recovered = run_experiment(RECOVERY)
 
     assert plain.timeline is not None and recovered.timeline is not None
     plain_records = [r.as_dict() for r in plain.timeline]

@@ -1,0 +1,32 @@
+"""The whole-run reference seam really swaps both engines, and only inside."""
+
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
+from tests.reference_stack import reference_stack
+
+CONFIG = ExperimentConfig(
+    manager="custody", workload="sort", num_nodes=8, num_apps=2,
+    jobs_per_app=1, seed=4, metrics=True,
+)
+
+
+def recomputes_by_engine(result):
+    family = result.registry.get("net_rate_recomputes_total")
+    return {s["labels"]["engine"]: s["value"] for s in family.series()}
+
+
+def test_seam_runs_the_reference_engines():
+    with reference_stack():
+        result = run_experiment(CONFIG)
+    assert result.manager.alloc_engine == "reference"
+    assert recomputes_by_engine(result).get("reference", 0) > 0
+    assert recomputes_by_engine(result).get("incremental", 0) == 0
+
+
+def test_runs_outside_the_seam_use_the_production_engines():
+    with reference_stack():
+        pass
+    result = run_experiment(CONFIG)
+    assert result.manager.alloc_engine == "incremental"
+    assert recomputes_by_engine(result).get("incremental", 0) > 0
+    assert recomputes_by_engine(result).get("reference", 0) == 0

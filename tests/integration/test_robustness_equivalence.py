@@ -41,10 +41,9 @@ ROBUST = replace(
 )
 
 
-@pytest.mark.parametrize("engine", ["reference", "incremental"])
-def test_fault_free_run_is_locked_to_seed_trajectory(engine):
-    plain = run_experiment(replace(BASE, network_engine=engine))
-    robust = run_experiment(replace(ROBUST, network_engine=engine))
+def test_fault_free_run_is_locked_to_seed_trajectory(stack):
+    plain = run_experiment(BASE)
+    robust = run_experiment(ROBUST)
 
     assert plain.timeline is not None and robust.timeline is not None
     plain_records = [r.as_dict() for r in plain.timeline]

@@ -21,10 +21,10 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.workload.replay import read_cluster_trace
+from tests.reference_stack import STACKS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-ENGINES = ("reference", "incremental")
 MANAGERS = ("custody", "standalone", "yarn", "mesos")
 
 
@@ -53,9 +53,9 @@ def test_adapter_is_deterministic(golden, trace):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("stack", STACKS, indirect=True)
 @pytest.mark.parametrize("manager", MANAGERS)
-def test_replay_metrics_match_golden(golden, trace, manager, engine):
+def test_replay_metrics_match_golden(golden, trace, manager, stack):
     config = ExperimentConfig(
         manager=manager,
         workload=golden["config"]["workload"],
@@ -63,11 +63,9 @@ def test_replay_metrics_match_golden(golden, trace, manager, engine):
         num_apps=golden["config"]["num_apps"],
         jobs_per_app=golden["config"]["jobs_per_app"],
         seed=golden["config"]["seed"],
-        network_engine=engine,
-        alloc_engine=engine,
     )
     result = run_experiment(config, trace=trace)
     got = json.loads(json.dumps(result.metrics.as_dict(), sort_keys=True))
     assert got == golden["metrics"][manager], (
-        f"{manager}/{engine}: replay metrics diverged from the recording"
+        f"{manager}/{stack}: replay metrics diverged from the recording"
     )

@@ -3,11 +3,12 @@
 The core acceptance property of the metrics registry — running the
 identical experiment with the registry attached produces the exact same
 :class:`ExperimentMetrics`, allocation rounds and virtual end time as
-running it dark, under both network engines and both allocation engines.
+running it dark, on the production engines and on the reference stack.
 Unlike tracing (whose sampler may add trailing grid ticks), enabling
 metrics alone must not move the clock at all.
 """
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.faults.chaos import build_chaos_plan
+from tests.reference_stack import STACKS, reference_stack
 
 pytestmark = [pytest.mark.obs, pytest.mark.metrics]
 
@@ -31,8 +33,6 @@ def small_configs(draw):
         num_apps=2,
         jobs_per_app=draw(st.integers(min_value=1, max_value=2)),
         seed=draw(st.integers(min_value=0, max_value=50)),
-        network_engine=draw(st.sampled_from(["incremental", "reference"])),
-        alloc_engine=draw(st.sampled_from(["incremental", "reference"])),
     )
 
 
@@ -48,31 +48,29 @@ def assert_lockstep(config, **run_kwargs):
     return lit
 
 
-@given(small_configs())
+@given(small_configs(), st.sampled_from(STACKS))
 @settings(max_examples=8, deadline=None)
-def test_metrics_change_no_trajectory(config):
-    assert_lockstep(config)
+def test_metrics_change_no_trajectory(config, stack_name):
+    with reference_stack() if stack_name == "reference" else nullcontext():
+        assert_lockstep(config)
 
 
 def test_metrics_lockstep_under_both_engine_variants_with_faults():
-    """One fixed chaos run per engine variant pair, metrics on == off."""
-    base = ExperimentConfig(
+    """One fixed chaos run per engine stack, metrics on == off."""
+    config = ExperimentConfig(
         manager="custody", workload="wordcount", num_nodes=12,
         num_apps=2, jobs_per_app=2, seed=5, detector_timeout=10.0,
     )
-    rng_seed = [base.seed, 7919, 1]
-    for net, alloc in (
-        ("incremental", "incremental"),
-        ("reference", "reference"),
-    ):
-        config = replace(base, network_engine=net, alloc_engine=alloc)
+    rng_seed = [config.seed, 7919, 1]
+    for stack_name in STACKS:
         plan = build_chaos_plan(
             config.num_nodes, config.executors_per_node,
             np.random.default_rng(rng_seed),
             node_failures=1, partitions=1, degradations=1,
             executor_failures=1, slowdowns=1, horizon=40.0,
         )
-        lit = assert_lockstep(config, fault_plan=plan)
+        with reference_stack() if stack_name == "reference" else nullcontext():
+            lit = assert_lockstep(config, fault_plan=plan)
         snap = lit.registry.snapshot()
         names = {m["name"] for m in snap["metrics"]}
         assert "faults_injected_total" in names

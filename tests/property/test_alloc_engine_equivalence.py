@@ -1,22 +1,17 @@
-"""Property: the heap and vectorized allocation engines equal the reference.
+"""Property: the heap allocation engine equals the reference.
 
 For *any* demand round — arbitrary app/job/task shapes, candidate sets,
 quotas, held counts, locality histories, fill configurations and executor
-capacities — ``two_level_allocate_incremental`` and
-``two_level_allocate_vectorized`` must produce plans whose signatures
-(grants, task assignments, releases) are identical to the reference
-``two_level_allocate``.  The match is exact by construction: all engines
-walk the same (locality-key, grant-step) sequence.
+capacities — ``two_level_allocate_incremental`` must produce plans whose
+signatures (grants, task assignments, releases) are identical to the
+reference ``two_level_allocate``.  The match is exact by construction: both
+engines walk the same (locality-key, grant-step) sequence.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import (
-    two_level_allocate,
-    two_level_allocate_incremental,
-    two_level_allocate_vectorized,
-)
+from repro.core.allocation import two_level_allocate, two_level_allocate_incremental
 from repro.core.demand import AppDemand, JobDemand, TaskDemand
 
 
@@ -78,9 +73,4 @@ def test_engines_produce_identical_plans(round_input):
         apps, list(idle), fill=fill, fill_limits=fill_limits,
         executor_capacity=capacity,
     )
-    vec = two_level_allocate_vectorized(
-        apps, list(idle), fill=fill, fill_limits=fill_limits,
-        executor_capacity=capacity,
-    )
     assert ref.signature() == inc.signature()
-    assert ref.signature() == vec.signature()

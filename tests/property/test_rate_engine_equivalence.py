@@ -9,18 +9,11 @@ same kernel on each dirty component with insertion-ordered flows.)
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.bandwidth import (
-    LinkCapacities,
-    maxmin_rates,
-    maxmin_rates_vectorized,
-)
+from repro.network.bandwidth import LinkCapacities, maxmin_rates
 from repro.network.rate_engine import RateEngine
-
-KERNELS = {"incremental": None, "vectorized": maxmin_rates_vectorized}
 
 
 @st.composite
@@ -73,12 +66,11 @@ def reference_vector(live_flows, caps):
     return expected
 
 
-@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 @given(churn_scripts())
 @settings(max_examples=200, deadline=None)
-def test_engine_matches_fresh_recompute_after_any_churn(kernel_name, script):
+def test_engine_matches_fresh_recompute_after_any_churn(script):
     caps, ops = script
-    engine = RateEngine(caps, kernel=KERNELS[kernel_name], engine_label=kernel_name)
+    engine = RateEngine(caps)
     live = []  # [(fid, (src, dst))] in insertion order
     next_id = 0
     for op in ops:
@@ -127,17 +119,6 @@ def test_recompute_placement_is_irrelevant(script):
         else:
             eager.recompute()  # lazy deliberately skips interior recomputes
     assert eager.rates() == lazy.rates()
-
-
-@given(churn_scripts())
-@settings(max_examples=200, deadline=None)
-def test_vectorized_kernel_is_bitwise_identical(script):
-    """The numpy-bookkeeping kernel equals the reference *exactly* — same
-    freeze order, same float operands — for any flow population including
-    loopbacks and repeated endpoints."""
-    caps, ops = script
-    flows = [(op[1], op[2]) for op in ops if op[0] == "add"]
-    assert maxmin_rates_vectorized(flows, caps) == maxmin_rates(flows, caps)
 
 
 @given(

@@ -1,0 +1,51 @@
+"""Whole-run seam onto the reference (seed) engines.
+
+Runs always use the production engines; the from-scratch network and
+allocation implementations survive only as test oracles, reached through
+constructor arguments.  :func:`reference_stack` patches the two places a
+whole experiment builds them (``repro.experiments.runner`` and the
+paper-figure scenarios) so any ``run_experiment`` / figure call inside the
+block runs on ``NetworkFabric(engine="reference")`` and
+``CustodyManager(alloc_engine="reference")``.
+
+The ``stack`` fixture parametrizes a test over both stacks, entering the
+seam for the ``"reference"`` case.  Patches are process-local: run
+parallel fan-out with ``jobs=1`` inside the seam.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from functools import partial
+from typing import Iterator
+from unittest import mock
+
+import pytest
+
+import repro.experiments.runner as runner
+import repro.experiments.scenarios as scenarios
+from repro.managers.custody import CustodyManager
+from repro.network.fabric import NetworkFabric
+
+#: Engine stacks a whole-run equivalence test covers.
+STACKS = ("reference", "incremental")
+
+
+@contextmanager
+def reference_stack() -> Iterator[None]:
+    """Build every run's fabric and Custody manager on the reference engines."""
+    fabric = partial(NetworkFabric, engine="reference")
+    with mock.patch.object(runner, "NetworkFabric", fabric), mock.patch.object(
+        runner, "CustodyManager", partial(CustodyManager, alloc_engine="reference")
+    ), mock.patch.object(scenarios, "NetworkFabric", fabric):
+        yield
+
+
+@pytest.fixture(params=STACKS)
+def stack(request) -> Iterator[str]:
+    """The test body runs once per engine stack; yields the stack's name."""
+    if request.param == "reference":
+        with reference_stack():
+            yield request.param
+    else:
+        yield request.param

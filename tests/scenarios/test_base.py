@@ -56,8 +56,7 @@ class TestProfile:
     def test_defaults(self):
         p = ScenarioProfile()
         assert p.seed == 0
-        assert p.network_engine == "incremental"
-        assert p.alloc_engine == "incremental"
+        assert not p.smoke
 
 
 class TestResult:
@@ -84,37 +83,22 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown scenario"):
             get_scenario("nope")
 
-    def test_engine_sensitivity_flags(self):
-        assert get_scenario("littles_law").engine_sensitive
-        assert get_scenario("trace_replay").engine_sensitive
-        assert get_scenario("elastic_churn").engine_sensitive
-        assert not get_scenario("mm1").engine_sensitive
-
 
 class TestRunSuite:
     class _Fake(ValidationScenario):
         name = "fake"
         title = "fake"
-        engine_sensitive = True
 
         def build(self, profile, result):
             result.checks.append(Check.that("ok", True))
-            result.params["engines"] = (
-                profile.network_engine, profile.alloc_engine
-            )
 
-    def test_engine_variants_fan_out(self, monkeypatch):
+    def test_each_scenario_runs_once_under_the_profile(self, monkeypatch):
         import repro.scenarios.base as base
 
         monkeypatch.setattr(base, "_REGISTRY", {"fake": self._Fake()})
-        report = run_suite(
-            profile=ScenarioProfile(smoke=True),
-            engine_variants=[("incremental", "incremental"),
-                             ("reference", "reference")],
-        )
-        engines = [r.params["engines"] for r in report.results]
-        assert engines == [("incremental", "incremental"),
-                           ("reference", "reference")]
+        profile = ScenarioProfile(smoke=True, seed=3)
+        report = run_suite(profile=profile)
+        assert [(r.name, r.profile) for r in report.results] == [("fake", profile)]
         assert report.passed
 
     def test_named_subset(self, monkeypatch):

@@ -1,22 +1,20 @@
 """The recovery validation scenario as a pytest-selectable gate.
 
-Runs the ``recovery`` scenario in smoke profile under both engine
-stacks, exactly as the ``recovery-smoke`` CI lane and ``python -m repro
-validate`` do, and asserts every closed-form bound holds.
+Runs the ``recovery`` scenario in smoke profile on the production engines
+(as the ``recovery-smoke`` CI lane and ``python -m repro validate`` do) and
+on the reference stack, and asserts every closed-form bound holds.
 """
 
 import pytest
 
 from repro.scenarios.base import ScenarioProfile, get_scenario
+from tests.reference_stack import STACKS
 
 pytestmark = [pytest.mark.scenarios, pytest.mark.recovery]
 
-ENGINE_VARIANTS = (("incremental", "incremental"), ("reference", "reference"))
-
 
 def describe(result) -> str:
-    lines = [f"{result.name} [{result.profile.network_engine}/"
-             f"{result.profile.alloc_engine}]"]
+    lines = [result.name]
     for c in result.checks:
         verdict = "pass" if c.passed else "FAIL"
         lines.append(f"  {verdict} {c.name}: measured={c.measured:.6g} "
@@ -24,17 +22,7 @@ def describe(result) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("engines", ENGINE_VARIANTS, ids=lambda e: "/".join(e))
-def test_recovery_scenario_smoke(engines):
-    net, alloc = engines
-    profile = ScenarioProfile(
-        smoke=True, seed=0, network_engine=net, alloc_engine=alloc
-    )
-    result = get_scenario("recovery").run(profile)
-    assert result.passed, describe(result)
-
-
-def test_recovery_scenario_is_engine_sensitive():
-    # The validate CLI relies on this flag to repeat the scenario under
-    # both engine stacks; losing it would silently halve the coverage.
-    assert get_scenario("recovery").engine_sensitive
+@pytest.mark.parametrize("stack", STACKS, indirect=True, ids=lambda s: f"{s}/{s}")
+def test_recovery_scenario_smoke(stack):
+    result = get_scenario("recovery").run(ScenarioProfile(smoke=True, seed=0))
+    assert result.passed, f"[{stack}] " + describe(result)

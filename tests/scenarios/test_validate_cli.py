@@ -22,8 +22,10 @@ class TestParser:
         assert args.scenario_names == ["mm1", "mmc"]
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["validate", "--network-engine", "magic"])
+        # Engine selection is not a runtime option: both flags are unknown.
+        for flag in ("--network-engine", "--alloc-engine"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["validate", flag, "reference"])
 
 
 class TestCommand:
@@ -31,7 +33,6 @@ class TestCommand:
         assert main(["validate", "--list"]) == 0
         out = capsys.readouterr().out
         assert "mm1" in out and "littles_law" in out
-        assert "engine-sensitive" in out
 
     def test_single_scenario_writes_report(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -60,7 +61,7 @@ class TestCommand:
                   str(tmp_path / "r.json")])
 
     @pytest.mark.scenarios
-    def test_smoke_gate_runs_all_engine_variants(self, capsys, tmp_path):
+    def test_smoke_gate_runs_each_scenario_once(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code = main(
             ["validate", "--smoke", "--scenario", "littles_law",
@@ -68,10 +69,6 @@ class TestCommand:
         )
         assert code == 0
         payload = json.loads(out_path.read_text())
-        engines = {
-            (s["profile"]["network_engine"], s["profile"]["alloc_engine"])
-            for s in payload["scenarios"]
-        }
-        assert engines == {("incremental", "incremental"),
-                           ("reference", "reference"),
-                           ("vectorized", "vectorized")}
+        assert [(s["name"], s["profile"]) for s in payload["scenarios"]] == [
+            ("littles_law", {"smoke": True, "seed": 0})
+        ]

@@ -10,18 +10,18 @@ regression is diagnosable straight from the CI log.
 import pytest
 
 from repro.scenarios.base import ScenarioProfile, get_scenario, run_suite
+from tests.reference_stack import STACKS, reference_stack
 
 pytestmark = pytest.mark.scenarios
 
-ENGINE_VARIANTS = (("incremental", "incremental"), ("reference", "reference"))
-
 PURE = ("mm1", "mmc", "priority", "locality", "diurnal")
-ENGINE_SENSITIVE = ("littles_law", "trace_replay", "elastic_churn")
+#: scenarios whose measurements flow through the network/allocation
+#: engines, so they also run on the reference stack
+FULL_STACK = ("littles_law", "trace_replay", "elastic_churn")
 
 
 def describe(result) -> str:
-    lines = [f"{result.name} [{result.profile.network_engine}/"
-             f"{result.profile.alloc_engine}]"]
+    lines = [result.name]
     for c in result.checks:
         verdict = "pass" if c.passed else "FAIL"
         lines.append(f"  {verdict} {c.name}: measured={c.measured:.6g} "
@@ -35,24 +35,21 @@ def test_scenario_smoke(name):
     assert result.passed, describe(result)
 
 
-@pytest.mark.parametrize("engines", ENGINE_VARIANTS, ids=lambda e: "/".join(e))
-@pytest.mark.parametrize("name", ENGINE_SENSITIVE)
-def test_engine_sensitive_scenario_smoke(name, engines):
-    net, alloc = engines
-    profile = ScenarioProfile(
-        smoke=True, seed=0, network_engine=net, alloc_engine=alloc
-    )
-    result = get_scenario(name).run(profile)
-    assert result.passed, describe(result)
+@pytest.mark.parametrize("stack", STACKS, indirect=True, ids=lambda s: f"{s}/{s}")
+@pytest.mark.parametrize("name", FULL_STACK)
+def test_engine_sensitive_scenario_smoke(name, stack):
+    result = get_scenario(name).run(ScenarioProfile(smoke=True, seed=0))
+    assert result.passed, f"[{stack}] " + describe(result)
 
 
 @pytest.mark.slow
 def test_full_suite_both_variants():
-    """The complete gate, exactly as ``repro validate --smoke`` runs it."""
-    report = run_suite(
-        profile=ScenarioProfile(smoke=True, seed=0),
-        engine_variants=list(ENGINE_VARIANTS),
-    )
+    """The complete gate as ``repro validate --smoke`` runs it, plus the
+    same suite on the reference stack."""
+    profile = ScenarioProfile(smoke=True, seed=0)
+    report = run_suite(profile=profile)
+    with reference_stack():
+        report.results.extend(run_suite(profile=profile).results)
     assert report.results, "suite ran nothing"
     failing = [r for r in report.results if not r.passed]
     assert not failing, "\n\n".join(describe(r) for r in failing)

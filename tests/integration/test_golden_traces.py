@@ -24,6 +24,7 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import fig1_motivating_example, fig45_intraapp_trace
+from repro.faults.plan import FaultPlan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -65,3 +66,46 @@ def test_runner_trace_matches_golden(stack):
     assert len(records) == len(golden["records"])
     for i, (got, want) in enumerate(zip(records, golden["records"])):
         assert got == want, f"record {i} diverged: {got} != {want}"
+
+
+#: Record kinds written at points where a typed trace event also fires —
+#: every fault, robustness and recovery kind.  The faulted fixture must hold
+#: each of them, so none can drift unnoticed.
+PAIRED_KINDS = frozenset({
+    "admission.admitted", "admission.deferred", "admission.shed",
+    "attempt.fail", "custody.round",
+    "executor.grant", "executor.grant.dead", "executor.release",
+    "fault.correlated", "fault.degradation", "fault.degradation.end",
+    "fault.disk", "fault.executor", "fault.executor.restart", "fault.flap",
+    "fault.manager", "fault.manager.restart", "fault.node",
+    "fault.node.restore", "fault.partition", "fault.partition.heal",
+    "fault.slowdown",
+    "job.finish", "job.submit.buffered", "lease.outcome",
+    "manager.down", "manager.recovered", "manager.restart",
+    "node.blacklist", "node.breaker",
+    "task.abandon", "task.finish", "task.hedge",
+    "transfer.fail", "transfer.finish", "transfer.stall", "transfer.unstall",
+})
+
+
+@pytest.mark.faults
+def test_faulted_runner_trace_matches_golden(stack):
+    golden = load_fixture("golden_faulted_trace.json")
+    kinds = set()
+    for run in golden["runs"]:
+        config = ExperimentConfig(
+            seed=run["seed"],
+            circuit_breaker=run["circuit_breaker"],
+            timeline_enabled=True,
+            **golden["config"],
+        )
+        plan = FaultPlan.from_json(json.dumps(run["plan"]))
+        result = run_experiment(config, fault_plan=plan)
+        assert result.timeline is not None
+        records = roundtrip([r.as_dict() for r in result.timeline])
+        label = f"seed {run['seed']} breaker={run['circuit_breaker']}"
+        assert len(records) == len(run["records"]), label
+        for i, (got, want) in enumerate(zip(records, run["records"])):
+            assert got == want, f"{label} record {i} diverged: {got} != {want}"
+        kinds.update(r["kind"] for r in run["records"])
+    assert PAIRED_KINDS <= kinds, sorted(PAIRED_KINDS - kinds)

@@ -123,7 +123,6 @@ def _make_manager(
     sim: Simulation,
     cluster: Cluster,
     streams: RngStreams,
-    timeline: Optional[Timeline],
     tracer: Optional[Tracer] = None,
     perf: Optional[PerfCounters] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -139,7 +138,6 @@ def _make_manager(
             rng=streams.get("manager.standalone"),
             spread=config.spread,
             weights=weights,
-            timeline=timeline,
             tracer=tracer,
             coalesce=config.alloc_coalesce,
             counters=perf,
@@ -151,7 +149,6 @@ def _make_manager(
             cluster,
             num_apps=config.num_apps,
             weights=weights,
-            timeline=timeline,
             tracer=tracer,
             coalesce=config.alloc_coalesce,
             counters=perf,
@@ -164,7 +161,6 @@ def _make_manager(
             num_apps=config.num_apps,
             offer_interval=config.mesos_offer_interval,
             weights=weights,
-            timeline=timeline,
             tracer=tracer,
             coalesce=config.alloc_coalesce,
             counters=perf,
@@ -177,7 +173,6 @@ def _make_manager(
         fill=config.custody_fill,
         validate=config.validate_plans,
         weights=weights,
-        timeline=timeline,
         tracer=tracer,
         coalesce=config.alloc_coalesce,
         counters=perf,
@@ -265,15 +260,25 @@ def run_experiment(
     layer of the stack; when None and ``config.trace`` is set, a default
     :class:`Tracer` with an in-memory ring sink is built.  The tracer's
     clock is bound to this run's virtual clock either way.
+    ``config.timeline_enabled`` attaches a :class:`Timeline` sink to that
+    tracer, or to a private one when the run is not traced.
     """
     streams = RngStreams(seed=config.seed)
     sim = Simulation()
-    timeline = Timeline(clock=lambda: sim.now, enabled=config.timeline_enabled)
     perf = PerfCounters() if config.perf_counters else None
     if tracer is None and config.trace:
         tracer = Tracer(sinks=[RingSink()])
-    if tracer is not None:
-        tracer.clock = lambda: sim.now
+    # The tracer every component emits into.
+    run_tracer = tracer
+    timeline: Optional[Timeline] = None
+    if config.timeline_enabled:
+        timeline = Timeline(clock=lambda: sim.now)
+        if run_tracer is None:
+            run_tracer = Tracer(sinks=[timeline])
+        else:
+            run_tracer.add_sink(timeline)
+    if run_tracer is not None:
+        run_tracer.clock = lambda: sim.now
     registry: Optional[MetricsRegistry] = None
     metrics = NULL_METRICS
     if config.metrics:
@@ -281,9 +286,8 @@ def run_experiment(
         metrics = registry
     fabric = NetworkFabric(
         sim,
-        timeline=timeline if config.timeline_enabled else None,
         counters=perf,
-        tracer=tracer,
+        tracer=run_tracer,
         metrics=metrics,
     )
     cluster = Cluster(
@@ -339,7 +343,7 @@ def run_experiment(
             input_fraction=config.kmn_fraction,
         )
 
-    manager = _make_manager(config, sim, cluster, streams, timeline, tracer, perf, metrics)
+    manager = _make_manager(config, sim, cluster, streams, run_tracer, perf, metrics)
     if config.admission_control:
         manager.attach_admission(
             AdmissionController(
@@ -357,8 +361,7 @@ def run_experiment(
             checkpoint_interval=config.checkpoint_interval,
             reconciliation_window=config.reconciliation_window,
             wal_flush_lag=config.wal_flush_lag,
-            timeline=timeline if config.timeline_enabled else None,
-            tracer=tracer,
+            tracer=run_tracer,
             metrics=metrics,
         )
         manager.attach_recovery(recovery)
@@ -381,7 +384,7 @@ def run_experiment(
                     interval=config.heartbeat_interval,
                     suspect_after=config.detector_suspect_after,
                     dead_after=config.detector_dead_after,
-                    tracer=tracer,
+                    tracer=run_tracer,
                     metrics=metrics,
                 )
             else:
@@ -389,17 +392,16 @@ def run_experiment(
                     sim,
                     interval=config.heartbeat_interval,
                     timeout=config.detector_timeout,
-                    tracer=tracer,
+                    tracer=run_tracer,
                     metrics=metrics,
                 )
         injector = FaultInjector(
             sim, cluster, hdfs, fault_plan,
-            timeline=timeline if config.timeline_enabled else None,
             fabric=fabric,
             detector=detector,
             network_timeout=config.network_timeout,
             re_replication_parallelism=config.re_replication_parallelism,
-            tracer=tracer,
+            tracer=run_tracer,
             metrics=metrics,
         )
         injector.bind_manager(manager)
@@ -415,7 +417,6 @@ def run_experiment(
             hdfs,
             fabric,
             _make_scheduler(config, cluster),
-            timeline=timeline if config.timeline_enabled else None,
             speculation=config.speculation,
             speculation_quantile=config.speculation_quantile,
             speculation_multiplier=config.speculation_multiplier,
@@ -436,7 +437,7 @@ def run_experiment(
             hedging=config.hedging,
             hedge_quantile=config.hedge_quantile,
             hedge_multiplier=config.hedge_multiplier,
-            tracer=tracer,
+            tracer=run_tracer,
             metrics=metrics,
         )
         drivers[app_id] = driver
@@ -563,7 +564,7 @@ def run_experiment(
         apps=apps,
         sim_time=sim.now,
         allocation_rounds=manager.allocation_rounds,
-        timeline=timeline if config.timeline_enabled else None,
+        timeline=timeline,
         manager=manager,
         fault_injector=injector,
         speculative_launches=sum(d.speculative_launches for d in drivers.values()),

@@ -35,6 +35,7 @@ from repro.core.demand import AppDemand, JobDemand, TaskDemand
 from repro.hdfs.filesystem import HDFS
 from repro.hdfs.placement import PlacementPolicy
 from repro.network.fabric import NetworkFabric
+from repro.obs.tracer import Tracer
 from repro.scheduling.driver import ApplicationDriver
 from repro.scheduling.policies import DelayScheduler
 from repro.simulation.engine import Simulation
@@ -215,7 +216,8 @@ def _run_fig45(
     """
     sim = Simulation()
     trace = Timeline(clock=lambda: sim.now) if timeline else None
-    fabric = NetworkFabric(sim, timeline=trace)
+    tracer = Tracer(clock=lambda: sim.now, sinks=[trace]) if timeline else None
+    fabric = NetworkFabric(sim, tracer=tracer)
     cluster = Cluster(
         ClusterConfig(
             num_nodes=4,
@@ -238,7 +240,7 @@ def _run_fig45(
 
     app = Application("A5")
     driver = ApplicationDriver(
-        sim, app, cluster, hdfs, fabric, DelayScheduler(wait=0.4), timeline=trace
+        sim, app, cluster, hdfs, fabric, DelayScheduler(wait=0.4), tracer=tracer
     )
     for idx in allocated:
         executor = cluster.executors[idx]

@@ -45,7 +45,6 @@ from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulation.engine import Simulation
 from repro.simulation.process import Process
-from repro.simulation.timeline import Timeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.managers.base import ClusterManager
@@ -76,7 +75,6 @@ class FaultInjector:
         hdfs: HDFS,
         plan: FaultPlan,
         *,
-        timeline: Optional[Timeline] = None,
         fabric: Optional[NetworkFabric] = None,
         detector: Optional[FailureDetector] = None,
         network_timeout: float = 30.0,
@@ -97,7 +95,6 @@ class FaultInjector:
         self.cluster = cluster
         self.hdfs = hdfs
         self.plan = plan
-        self.timeline = timeline
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.fabric = fabric
         self.detector = detector
@@ -280,11 +277,6 @@ class FaultInjector:
         self._slowdowns.setdefault(event.node_id, []).append(
             (self.sim.now + event.duration, event.factor)
         )
-        if self.timeline is not None:
-            self.timeline.record(
-                "fault.slowdown", event.node_id,
-                factor=event.factor, duration=event.duration,
-            )
         self._trace_fault(
             "slowdown", event.node_id, factor=event.factor, duration=event.duration
         )
@@ -312,8 +304,6 @@ class FaultInjector:
     def _fail_executor(self, event: ExecutorFailure) -> None:
         executor = self.cluster.executor(event.executor_id)
         self.injected += 1
-        if self.timeline is not None:
-            self.timeline.record("fault.executor", event.executor_id)
         self._trace_fault(
             "executor", event.executor_id, restart_delay=event.restart_delay
         )
@@ -358,8 +348,6 @@ class FaultInjector:
             return  # the whole node crashed meanwhile; node restore handles it
         self._failed_executors.discard(executor.executor_id)
         executor.healthy = True
-        if self.timeline is not None:
-            self.timeline.record("fault.executor.restart", executor.executor_id)
         self._trace_fault("executor", executor.executor_id, healed=True)
         self._notify_manager()
 
@@ -384,8 +372,6 @@ class FaultInjector:
                 "enable manager_recovery on the experiment config"
             )
         self.injected += 1
-        if self.timeline is not None:
-            self.timeline.record("fault.manager", "manager", duration=event.duration)
         self._trace_fault("manager", "manager", duration=event.duration)
         recovery.crash(event.duration)
         self.sim.schedule(event.duration, self._restore_manager, self.sim.now)
@@ -394,8 +380,6 @@ class FaultInjector:
         """The outage window ended: record the heal (the coordinator has
         already restarted and begun reconciliation at this instant)."""
         self.mttr.setdefault("manager", []).append(self.sim.now - failed_at)
-        if self.timeline is not None:
-            self.timeline.record("fault.manager.restart", "manager")
         self._trace_fault(
             "manager", "manager", healed=True, after=self.sim.now - failed_at
         )
@@ -404,10 +388,6 @@ class FaultInjector:
     def _fail_disk(self, event: DiskFailure) -> None:
         self.injected += 1
         lost = self._wipe_storage(event.node_id)
-        if self.timeline is not None:
-            self.timeline.record(
-                "fault.disk", event.node_id, replicas_lost=len(lost)
-            )
         self._trace_fault("disk", event.node_id, replicas_lost=len(lost))
         if event.re_replicate:
             self._re_replicate(event.node_id, lost)
@@ -439,8 +419,8 @@ class FaultInjector:
             survivors = self.hdfs.namenode.locations(block_id)
             if not survivors:
                 self.blocks_lost += 1
-                if self.timeline is not None:
-                    self.timeline.record("fault.block_lost", block_id)
+                if self.tracer.narrating:
+                    self.tracer.narrate("fault.block_lost", block_id)
                 continue  # all replicas gone: data loss, nothing to copy
             block = None
             for node in survivors:
@@ -468,10 +448,6 @@ class FaultInjector:
     def _fail_node(self, event: NodeFailure) -> None:
         node_id = event.node_id
         self.injected += 1
-        if self.timeline is not None:
-            self.timeline.record(
-                "fault.node", node_id, restart_delay=event.restart_delay
-            )
         self._trace_fault("node", node_id, restart_delay=event.restart_delay)
         self._crash_node(node_id, event.restart_delay, event.re_replicate, "node")
 
@@ -479,10 +455,6 @@ class FaultInjector:
         """Correlated crash: every group member fails at the same instant."""
         self.injected += 1
         group = ",".join(event.node_ids)
-        if self.timeline is not None:
-            self.timeline.record(
-                "fault.correlated", group, restart_delay=event.restart_delay
-            )
         self._trace_fault(
             "correlated", group,
             nodes=len(event.node_ids), restart_delay=event.restart_delay,
@@ -529,8 +501,6 @@ class FaultInjector:
         if self.detector is not None:
             self.detector.end_outage(node_id)
         self.mttr.setdefault(kind, []).append(self.sim.now - failed_at)
-        if self.timeline is not None:
-            self.timeline.record("fault.node.restore", node_id)
         self._trace_fault("node", node_id, healed=True, after=self.sim.now - failed_at)
         if self.fabric is not None:
             self.fabric.refresh_stalled()
@@ -539,11 +509,6 @@ class FaultInjector:
     # ------------------------------------------------------------------- flaps
     def _start_flap(self, event: LinkFlap) -> None:
         self.injected += 1
-        if self.timeline is not None:
-            self.timeline.record(
-                "fault.flap", event.node_id,
-                duration=event.duration, period=event.period,
-            )
         self._trace_fault(
             "flap", event.node_id,
             duration=event.duration, period=event.period,
@@ -590,10 +555,6 @@ class FaultInjector:
         self.injected += 1
         part = frozenset(event.nodes)
         self._partitions.append(part)
-        if self.timeline is not None:
-            self.timeline.record(
-                "fault.partition", ",".join(sorted(part)), duration=event.duration
-            )
         self._trace_fault(
             "partition", ",".join(sorted(part)), duration=event.duration
         )
@@ -612,8 +573,6 @@ class FaultInjector:
             for node in sorted(part):
                 self.detector.end_outage(node)
         self.mttr.setdefault("partition", []).append(self.sim.now - started)
-        if self.timeline is not None:
-            self.timeline.record("fault.partition.heal", ",".join(sorted(part)))
         self._trace_fault(
             "partition",
             ",".join(sorted(part)),
@@ -630,11 +589,6 @@ class FaultInjector:
         self._degradations.setdefault(event.node_id, []).append(
             (self.sim.now + event.duration, event.factor)
         )
-        if self.timeline is not None:
-            self.timeline.record(
-                "fault.degradation", event.node_id,
-                factor=event.factor, duration=event.duration,
-            )
         self._trace_fault(
             "degradation", event.node_id, factor=event.factor, duration=event.duration
         )
@@ -648,8 +602,6 @@ class FaultInjector:
         active = self._degradations.get(node_id, [])
         self._degradations[node_id] = [(end, f) for end, f in active if end > now]
         self.mttr.setdefault("degradation", []).append(now - started)
-        if self.timeline is not None:
-            self.timeline.record("fault.degradation.end", node_id)
         self._trace_fault("degradation", node_id, healed=True, after=now - started)
         self._apply_link_scale(node_id)
 
@@ -683,8 +635,8 @@ class FaultInjector:
                 continue  # already back at full replication
             if not survivors:
                 self.blocks_lost += 1
-                if self.timeline is not None:
-                    self.timeline.record("fault.block_lost", block_id)
+                if self.tracer.narrating:
+                    self.tracer.narrate("fault.block_lost", block_id)
                 continue
             src = None
             block = None
@@ -718,10 +670,8 @@ class FaultInjector:
             self._rr_active += 1
             self.recovery_flows += 1
             self.recovery_bytes += block.size
-            if self.timeline is not None:
-                self.timeline.record(
-                    "fault.re_replicate", block_id, src=src, dst=target
-                )
+            if self.tracer.narrating:
+                self.tracer.narrate("fault.re_replicate", block_id, src=src, dst=target)
             Process(
                 self.sim,
                 self._rr_proc(transfer, block, target, exclude, retries),
@@ -731,10 +681,8 @@ class FaultInjector:
     def _rr_retry(self, block_id: str, exclude: str, retries: int, why: str) -> None:
         """Re-queue a blocked/failed recovery copy, bounded."""
         if retries >= _RR_MAX_RETRIES:
-            if self.timeline is not None:
-                self.timeline.record(
-                    "fault.re_replicate.giveup", block_id, reason=why
-                )
+            if self.tracer.narrating:
+                self.tracer.narrate("fault.re_replicate.giveup", block_id, reason=why)
             return
         self.sim.schedule(
             _RR_RETRY_DELAY, self._rr_requeue, block_id, exclude, retries + 1

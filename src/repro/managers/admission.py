@@ -169,15 +169,6 @@ class AdmissionController:
         manager = self.manager
         assert manager is not None
         self._m_decisions[decision].inc()
-        if manager.timeline is not None:
-            manager.timeline.record(
-                f"admission.{decision}",
-                job_id or manager.name,
-                app=app_id,
-                pending=pending,
-                capacity=capacity,
-                **extra,
-            )
         if manager.tracer.enabled:
             attrs = {
                 "app": app_id,

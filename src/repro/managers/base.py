@@ -3,8 +3,8 @@
 A manager owns the free-executor pool and decides which application gets
 which executor; drivers call back into it on job submission, job completion
 and executor idleness.  Subclasses override the four hooks; the base class
-provides the grant/revoke plumbing with invariant checks and timeline
-records, plus the equal-share quota every policy in the paper uses.
+provides the grant/revoke plumbing with invariant checks and trace
+events, plus the equal-share quota every policy in the paper uses.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.obs.events import AllocationRound, ExecutorGrant
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulation.engine import Simulation
-from repro.simulation.timeline import Timeline
 from repro.workload.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,7 +42,6 @@ class ClusterManager(abc.ABC):
         *,
         num_apps: int,
         weights: Optional[Dict[str, float]] = None,
-        timeline: Optional[Timeline] = None,
         tracer: Optional[Tracer] = None,
         coalesce: bool = False,
         counters=None,
@@ -60,7 +58,6 @@ class ClusterManager(abc.ABC):
         self.cluster = cluster
         self.num_apps = num_apps
         self.weights = weights
-        self.timeline = timeline
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.drivers: Dict[str, "ApplicationDriver"] = {}
         self.allocation_rounds = 0
@@ -144,8 +141,8 @@ class ClusterManager(abc.ABC):
             return
         self.drivers[driver.app_id] = driver
         driver.manager = self
-        if self.timeline is not None:
-            self.timeline.record("app.register", driver.app_id, manager=self.name)
+        if self.tracer.narrating:
+            self.tracer.narrate("app.register", driver.app_id, manager=self.name)
         if self.recovery is not None:
             self.recovery.note_register(driver.app_id)
         self._on_register(driver)
@@ -174,13 +171,6 @@ class ClusterManager(abc.ABC):
             self._m_grants_dead.inc()
             if self.detector is not None:
                 self.detector.report_failure(executor.node_id)
-            if self.timeline is not None:
-                self.timeline.record(
-                    "executor.grant.dead",
-                    executor.executor_id,
-                    app=driver.app_id,
-                    node=executor.node_id,
-                )
             if self.tracer.enabled:
                 self.tracer.emit(
                     ExecutorGrant(
@@ -199,13 +189,6 @@ class ClusterManager(abc.ABC):
         executor.allocate(driver.app_id)
         self._m_grants_ok.inc()
         self._note_pool_change(executor)
-        if self.timeline is not None:
-            self.timeline.record(
-                "executor.grant",
-                executor.executor_id,
-                app=driver.app_id,
-                node=executor.node_id,
-            )
         if self.tracer.enabled:
             self.tracer.emit(
                 ExecutorGrant(
@@ -240,10 +223,6 @@ class ClusterManager(abc.ABC):
         if self.recovery is not None:
             self.recovery.note_release(executor.executor_id, driver.app_id)
         self._note_pool_change(executor)
-        if self.timeline is not None:
-            self.timeline.record(
-                "executor.release", executor.executor_id, app=driver.app_id
-            )
         if self.tracer.enabled:
             self.tracer.instant(
                 "executor.release",

@@ -52,7 +52,6 @@ from repro.core.allocation import DataAwareAllocator
 from repro.core.demand import AllocationPlan, AppDemand, JobDemand, TaskDemand, validate_plan
 from repro.managers.base import ClusterManager
 from repro.simulation.engine import Simulation
-from repro.simulation.timeline import Timeline
 from repro.workload.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,7 +91,6 @@ class CustodyManager(ClusterManager):
         fill: bool = True,
         validate: bool = False,
         weights=None,
-        timeline: Optional[Timeline] = None,
         tracer=None,
         alloc_engine: str = "incremental",
         coalesce: bool = False,
@@ -104,7 +102,6 @@ class CustodyManager(ClusterManager):
             cluster,
             num_apps=num_apps,
             weights=weights,
-            timeline=timeline,
             tracer=tracer,
             coalesce=coalesce,
             counters=counters,
@@ -258,13 +255,6 @@ class CustodyManager(ClusterManager):
                 per_app.setdefault(owner_of_task[task_id], {})[task_id] = executor_id
             for app_id, hints in per_app.items():
                 self.drivers[app_id].set_task_hints(hints)
-        if self.timeline is not None:
-            self.timeline.record(
-                "custody.round",
-                f"round-{self.allocation_rounds:05d}",
-                granted=plan.total_granted,
-                promised=len(plan.assignment),
-            )
         # Algorithm 1/2 decision record: which apps demanded, how much idle
         # capacity the max-min pass saw, and the grant pick order it chose.
         demand_tasks = sum(len(j.tasks) for a in demands for j in a.jobs)

@@ -15,13 +15,12 @@ seconds — the offer-cycle latency a real Mesos master exhibits.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.executor import Executor
 from repro.managers.base import ClusterManager
 from repro.simulation.engine import Simulation
-from repro.simulation.timeline import Timeline
 from repro.workload.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,7 +42,6 @@ class MesosManager(ClusterManager):
         num_apps: int,
         offer_interval: float = 1.0,
         weights=None,
-        timeline: Optional[Timeline] = None,
         tracer=None,
         coalesce: bool = False,
         counters=None,
@@ -54,7 +52,6 @@ class MesosManager(ClusterManager):
             cluster,
             num_apps=num_apps,
             weights=weights,
-            timeline=timeline,
             tracer=tracer,
             coalesce=coalesce,
             counters=counters,

@@ -43,7 +43,6 @@ from repro.obs.events import LeaseOutcome, ManagerDown, ManagerRestart
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulation.engine import Simulation
-from repro.simulation.timeline import Timeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.managers.base import ClusterManager
@@ -241,7 +240,6 @@ class RecoveryCoordinator:
         checkpoint_interval: float = 30.0,
         reconciliation_window: float = 5.0,
         wal_flush_lag: float = 0.0,
-        timeline: Optional[Timeline] = None,
         tracer: Optional[Tracer] = None,
         metrics=None,
     ):
@@ -261,7 +259,6 @@ class RecoveryCoordinator:
         self.lease_duration = lease_duration
         self.lease_renew_interval = lease_renew_interval
         self.reconciliation_window = reconciliation_window
-        self.timeline = timeline
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.log = RecoveryLog(
@@ -486,12 +483,6 @@ class RecoveryCoordinator:
                 for lease in self.leases.values()
                 if now > lease.granted_at
             )
-            if self.timeline is not None:
-                self.timeline.record(
-                    "manager.down", "manager",
-                    outage=outage, leases=self.leases_at_crash,
-                    wal_lost=len(lost),
-                )
             if self.tracer.enabled:
                 self.tracer.emit(
                     ManagerDown(
@@ -545,10 +536,6 @@ class RecoveryCoordinator:
             self.reregistrations += 1
             self.log.append(now, "reregister", app=app_id)
             self._m_wal_entries.inc()
-        if self.timeline is not None:
-            self.timeline.record(
-                "manager.restart", "manager", wal_replayed=replayed
-            )
         if self.tracer.enabled:
             self.tracer.emit(
                 ManagerRestart(
@@ -603,10 +590,6 @@ class RecoveryCoordinator:
         )
 
     def _lease_outcome(self, executor_id: str, app_id: str, outcome: str) -> None:
-        if self.timeline is not None:
-            self.timeline.record(
-                "lease.outcome", executor_id, app=app_id, outcome=outcome
-            )
         if self.tracer.enabled:
             self.tracer.emit(
                 LeaseOutcome(
@@ -656,14 +639,6 @@ class RecoveryCoordinator:
         )
         self.zombies_surviving = surviving
         self._m_zombies_surviving.set(surviving)
-        if self.timeline is not None:
-            self.timeline.record(
-                "manager.recovered", "manager",
-                duration=duration,
-                readopted=self.leases_readopted,
-                expired=self.leases_expired,
-                zombies=self.zombies_reclaimed,
-            )
         if self.tracer.enabled:
             self.tracer.emit(
                 ManagerRestart(

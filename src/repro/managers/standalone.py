@@ -26,7 +26,6 @@ from repro.cluster.executor import Executor
 from repro.common.errors import AllocationError
 from repro.managers.base import ClusterManager
 from repro.simulation.engine import Simulation
-from repro.simulation.timeline import Timeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scheduling.driver import ApplicationDriver
@@ -48,7 +47,6 @@ class StandaloneManager(ClusterManager):
         rng: Optional[np.random.Generator] = None,
         spread: bool = False,
         weights=None,
-        timeline: Optional[Timeline] = None,
         tracer=None,
         coalesce: bool = False,
         counters=None,
@@ -59,7 +57,6 @@ class StandaloneManager(ClusterManager):
             cluster,
             num_apps=num_apps,
             weights=weights,
-            timeline=timeline,
             tracer=tracer,
             coalesce=coalesce,
             counters=counters,

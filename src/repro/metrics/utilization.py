@@ -9,9 +9,10 @@ Answers the operator questions the paper's §VI discussion touches on
 * **concurrency profile** — running-task percentiles over time.
 
 All derived purely from :class:`~repro.simulation.timeline.Timeline`
-records (``task.start``/``task.finish``/``executor.grant``/
-``executor.release``), so any run with ``timeline_enabled=True`` can be
-analysed after the fact.
+records (attempt launches ``task.start``/``task.speculate``/
+``task.hedge.start``, their ends ``task.finish``/``attempt.fail``, and
+``executor.grant``/``executor.release``), so any run with
+``timeline_enabled=True`` can be analysed after the fact.
 """
 
 from __future__ import annotations
@@ -90,10 +91,15 @@ def analyze_utilization(timeline: Timeline, total_slots: int) -> UtilizationRepo
     grants: Dict[str, int] = {}
     releases: Dict[str, int] = {}
     for record in timeline:
-        if record.kind in ("task.start", "task.speculate"):
-            # Speculative attempts occupy slots too; keyed per attempt via
+        if record.kind in ("task.start", "task.speculate", "task.hedge.start"):
+            # Backup attempts occupy slots too; keyed per attempt via
             # (task, executor) so clones do not collide.
             starts[(record.subject, record.get("executor"))] = record.time
+        elif record.kind == "attempt.fail":
+            # A failed attempt frees its slot now, not at the task's finish.
+            start = starts.pop((record.subject, record.get("executor")), None)
+            if start is not None:
+                intervals.append((start, record.time))
         elif record.kind == "task.finish":
             # Match the winning attempt; losers' starts are dropped below.
             keys = [k for k in starts if k[0] == record.subject]

@@ -47,7 +47,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulation.engine import EventHandle, Simulation
-from repro.simulation.timeline import Timeline
 
 __all__ = ["NetworkFabric"]
 
@@ -66,8 +65,6 @@ class NetworkFabric:
     ----------
     sim:
         The owning simulation.
-    timeline:
-        Optional trace sink; transfer start/finish records are written to it.
     engine:
         ``"incremental"`` (default) or ``"reference"`` (the test oracle) —
         see module docstring.
@@ -78,7 +75,6 @@ class NetworkFabric:
     def __init__(
         self,
         sim: Simulation,
-        timeline: Optional[Timeline] = None,
         engine: str = "incremental",
         counters: Optional[object] = None,
         tracer: Optional[Tracer] = None,
@@ -89,7 +85,6 @@ class NetworkFabric:
                 f"engine must be 'incremental' or 'reference', got {engine!r}"
             )
         self.sim = sim
-        self.timeline = timeline
         self.counters = counters
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -222,6 +217,7 @@ class NetworkFabric:
                 track=transfer.src,
                 lane=f"nic:{transfer.src}",
                 attrs={
+                    "transfer": transfer.transfer_id,
                     "src": transfer.src,
                     "dst": transfer.dst,
                     "size": transfer.size,
@@ -257,12 +253,13 @@ class NetworkFabric:
                 self._connect_timeout, self._on_connect_timeout, transfer
             )
             self._stalled[transfer.transfer_id] = (transfer, handle)
-            if self.timeline is not None:
-                self.timeline.record(
-                    "transfer.stall", transfer.transfer_id, src=src, dst=dst
-                )
             self.tracer.instant(
-                "net.stall", "network", track=src, lane=f"nic:{src}", dst=dst
+                "net.stall",
+                "network",
+                track=src,
+                lane=f"nic:{src}",
+                dst=dst,
+                transfer=transfer.transfer_id,
             )
             self._m_xfer_stall.inc()
             if self.counters is not None:
@@ -280,8 +277,8 @@ class NetworkFabric:
                     )
         self._active[transfer.transfer_id] = transfer
         self._m_xfer_start.inc()
-        if self.timeline is not None:
-            self.timeline.record(
+        if self.tracer.narrating:
+            self.tracer.narrate(
                 "transfer.start", transfer.transfer_id, src=src, dst=dst, size=size
             )
         if self.counters is not None:
@@ -297,8 +294,8 @@ class NetworkFabric:
             if self._engine is not None:
                 self._engine.remove_flow(transfer.transfer_id)
             self._m_xfer_cancel.inc()
-            if self.timeline is not None:
-                self.timeline.record("transfer.cancel", transfer.transfer_id)
+            if self.tracer.narrating:
+                self.tracer.narrate("transfer.cancel", transfer.transfer_id)
             if self.counters is not None:
                 self.counters.flow_events += 1
             self.sim.defer(self, self._flush)
@@ -306,8 +303,8 @@ class NetworkFabric:
             _, handle = self._stalled.pop(transfer.transfer_id)
             handle.cancel()
             self._m_xfer_cancel.inc()
-            if self.timeline is not None:
-                self.timeline.record("transfer.cancel", transfer.transfer_id)
+            if self.tracer.narrating:
+                self.tracer.narrate("transfer.cancel", transfer.transfer_id)
             if self.counters is not None:
                 self.counters.flow_events += 1
 
@@ -321,8 +318,6 @@ class NetworkFabric:
     def _record_failure(self, transfer: Transfer, cause: str) -> None:
         self.failed_count += 1
         self._m_xfer_fail.inc()
-        if self.timeline is not None:
-            self.timeline.record("transfer.fail", transfer.transfer_id, cause=cause)
         if self.counters is not None:
             self.counters.flow_events += 1
         self._trace_transfer(transfer, cause)
@@ -383,16 +378,13 @@ class NetworkFabric:
             if self._engine is not None:
                 self._engine.add_flow(tid, transfer.src, transfer.dst)
             self._active[tid] = transfer
-            if self.timeline is not None:
-                self.timeline.record(
-                    "transfer.unstall", tid, src=transfer.src, dst=transfer.dst
-                )
             self.tracer.instant(
                 "net.unstall",
                 "network",
                 track=transfer.src,
                 lane=f"nic:{transfer.src}",
                 dst=transfer.dst,
+                transfer=tid,
             )
             self._m_xfer_unstall.inc()
             if self.counters is not None:
@@ -521,12 +513,6 @@ class NetworkFabric:
                 self._m_rate_hist.observe(transfer.size / lifetime)
             if self.counters is not None:
                 self.counters.flow_events += 1
-            if self.timeline is not None:
-                self.timeline.record(
-                    "transfer.finish",
-                    transfer.transfer_id,
-                    duration=now - transfer.started_at,
-                )
             self._trace_transfer(transfer, "ok")
             transfer.done.trigger(transfer)
         self.sim.defer(self, self._flush)

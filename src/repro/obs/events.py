@@ -169,7 +169,8 @@ class TaskAttempt(SpanEvent):
     ``app``, ``outcome`` ("success" | "killed" | failure reason), ``queue``
     (submit→launch wait), ``input`` (read/fetch phase), ``run`` (CPU phase),
     ``locality`` ("node" | "rack" | "any" | None for non-input tasks) and
-    ``speculative``.
+    ``speculative``; a successful backup attempt adds ``task_duration``
+    (its task's primary launch → finish).
     """
 
     name: str = "task.attempt"
@@ -190,7 +191,8 @@ class JobSpan(SpanEvent):
 class TransferSpan(SpanEvent):
     """One network flow from start to completion/failure.
 
-    attrs: ``src``, ``dst``, ``size``, ``outcome`` ("ok" | failure cause).
+    attrs: ``transfer`` (id), ``src``, ``dst``, ``size``, ``outcome``
+    ("ok" | failure cause).
     """
 
     name: str = "net.transfer"

@@ -21,7 +21,13 @@ __all__ = ["TraceSink", "RingSink", "JsonlSink"]
 
 
 class TraceSink:
-    """Interface: ``write`` one event, ``close`` when the run ends."""
+    """Interface: ``write`` one event, ``close`` when the run ends.
+
+    A ``narrates`` sink (the timeline) also takes ``Tracer.narrate`` records
+    through ``record(kind, subject, **detail)``.
+    """
+
+    narrates = False
 
     def write(self, event: TraceEvent) -> None:  # pragma: no cover - interface
         """Record one emitted event."""

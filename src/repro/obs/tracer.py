@@ -12,7 +12,11 @@ Design constraints, in priority order:
    stamp events, and nothing here ever reads the wall clock — two runs from
    one seed produce byte-identical event streams.
 3. **Fan-out.**  One emit feeds every attached sink (ring buffer, JSONL
-   file, …); sinks are ordered and flushed/closed together.
+   file, timeline, …); sinks are ordered and flushed/closed together.
+4. **One narration path.**  Each transition is emitted once; the timeline
+   sink projects its records from typed events.  Transitions only the
+   timeline records go through :meth:`Tracer.narrate`, which skips every
+   other sink, behind an ``if tracer.narrating:`` guard.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ __all__ = ["Tracer", "NullTracer", "NULL_TRACER"]
 class Tracer:
     """Emits :class:`~repro.obs.events.TraceEvent` objects to its sinks."""
 
-    __slots__ = ("enabled", "clock", "_sinks")
+    __slots__ = ("enabled", "clock", "_sinks", "_narrators", "narrating")
 
     def __init__(
         self,
@@ -38,7 +42,12 @@ class Tracer:
     ):
         self.enabled = enabled
         self.clock = clock
-        self._sinks: List[TraceSink] = list(sinks)
+        self._sinks: List[TraceSink] = []
+        self._narrators: List[TraceSink] = []
+        #: True while an enabled tracer has a narrating sink attached.
+        self.narrating = False
+        for sink in sinks:
+            self.add_sink(sink)
 
     # ---------------------------------------------------------------- sinks
     @property
@@ -49,6 +58,9 @@ class Tracer:
     def add_sink(self, sink: TraceSink) -> None:
         """Attach another sink; it sees only events emitted from now on."""
         self._sinks.append(sink)
+        if sink.narrates:
+            self._narrators.append(sink)
+            self.narrating = self.enabled
 
     def events(self) -> List[TraceEvent]:
         """Events held by the first in-memory ring sink (empty if none).
@@ -73,6 +85,11 @@ class Tracer:
             return
         for sink in self._sinks:
             sink.write(event)
+
+    def narrate(self, kind: str, subject: str, **detail: Any) -> None:
+        """Hand a transition with no typed event to the narrating sinks."""
+        for sink in self._narrators:
+            sink.record(kind, subject, **detail)
 
     def _now(self) -> float:
         if self.clock is None:

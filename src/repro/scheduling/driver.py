@@ -46,7 +46,6 @@ from repro.scheduling.policies import TaskScheduler
 from repro.scheduling.robustness import CLOSED, CircuitBreakerBoard, RetryBudget
 from repro.simulation.engine import EventHandle, Simulation
 from repro.simulation.process import AllOf, Interrupt, Process, Timeout
-from repro.simulation.timeline import Timeline
 from repro.workload.application import Application
 from repro.workload.job import Job
 from repro.workload.task import Task
@@ -96,7 +95,6 @@ class ApplicationDriver:
         hdfs: HDFS,
         fabric: NetworkFabric,
         scheduler: TaskScheduler,
-        timeline: Optional[Timeline] = None,
         *,
         speculation: bool = False,
         speculation_quantile: float = 0.75,
@@ -157,7 +155,6 @@ class ApplicationDriver:
         self.hdfs = hdfs
         self.fabric = fabric
         self.scheduler = scheduler
-        self.timeline = timeline
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.speculation = speculation
         self.speculation_quantile = speculation_quantile
@@ -339,8 +336,8 @@ class ApplicationDriver:
         self.app.add_job(job)
         self._m_job_arrivals.inc()
         self._enqueue_stage(job, 0)
-        if self.timeline is not None:
-            self.timeline.record(
+        if self.tracer.narrating:
+            self.tracer.narrate(
                 "job.submit", job.job_id, app=self.app_id, inputs=job.num_input_tasks
             )
         if self.manager is not None:
@@ -361,8 +358,6 @@ class ApplicationDriver:
         self._pending_submissions.append(job)
         self.submissions_buffered += 1
         self._m_submissions_buffered.inc()
-        if self.timeline is not None:
-            self.timeline.record("job.submit.buffered", job.job_id, app=self.app_id)
         self.tracer.instant(
             "job.submit.buffered", "driver", track=self.app_id, job=job.job_id
         )
@@ -547,10 +542,6 @@ class ApplicationDriver:
         if state == "open":
             self.blacklist_events += 1
         self._m_breaker.labels(app=self.app_id, state=state).inc()
-        if self.timeline is not None:
-            self.timeline.record(
-                "node.breaker", node_id, app=self.app_id, state=state, prev=prev
-            )
         if self.tracer.enabled:
             self.tracer.emit(
                 BreakerTransition(
@@ -577,14 +568,6 @@ class ApplicationDriver:
         if len(recent) >= self.blacklist_threshold and not self._blacklisted(node_id):
             self._blacklist[node_id] = now + self.blacklist_timeout
             self.blacklist_events += 1
-            if self.timeline is not None:
-                self.timeline.record(
-                    "node.blacklist",
-                    node_id,
-                    app=self.app_id,
-                    until=self._blacklist[node_id],
-                    failures=len(recent),
-                )
             self.tracer.instant(
                 "node.blacklist",
                 "driver",
@@ -683,8 +666,8 @@ class ApplicationDriver:
         self.requeued_tasks += 1
         self._m_retries.inc()
         self._m_queue_depth.set(len(self._runnable))
-        if self.timeline is not None:
-            self.timeline.record(
+        if self.tracer.narrating:
+            self.tracer.narrate(
                 "task.requeue", task.task_id, app=self.app_id, node=node_id
             )
         if dispatch:
@@ -718,10 +701,6 @@ class ApplicationDriver:
         self.demand_epoch += 1
         self.abandoned_tasks += 1
         self._m_abandoned.labels(app=self.app_id, reason=reason).inc()
-        if self.timeline is not None:
-            self.timeline.record(
-                "task.abandon", task.task_id, app=self.app_id, reason=reason
-            )
         self.tracer.instant(
             "task.abandon", "driver", track=self.app_id, task=task.task_id, reason=reason
         )
@@ -961,14 +940,6 @@ class ApplicationDriver:
             self.hedges_launched += 1
             self._m_hedges_launched.inc()
             self._m_launch_hedge.inc()
-            if self.timeline is not None:
-                self.timeline.record(
-                    "task.hedge",
-                    attempt.task.task_id,
-                    app=self.app_id,
-                    primary=node_id,
-                    hedge=executor.node_id,
-                )
             if self.tracer.enabled:
                 self.tracer.emit(
                     HedgeLaunch(
@@ -1033,6 +1004,9 @@ class ApplicationDriver:
                 attrs["run"] = (now - attempt.started_at) - read_time
             if task.locality_level is not None:
                 attrs["locality"] = task.locality_level
+            if attempt.speculative:
+                # The task's duration runs from its primary's launch.
+                attrs["task_duration"] = task.duration
         self.tracer.emit(
             TaskAttempt(
                 attempt.started_at,
@@ -1060,8 +1034,8 @@ class ApplicationDriver:
             task.node_id = executor.node_id
             self.demand_epoch += 1
             self._m_launch_primary.inc()
-        if self.timeline is not None:
-            self.timeline.record(
+        if self.tracer.narrating:
+            self.tracer.narrate(
                 "task.start" if not speculative else ("task.hedge.start" if hedge else "task.speculate"),
                 task.task_id,
                 app=self.app_id,
@@ -1206,14 +1180,6 @@ class ApplicationDriver:
         known = attempts is not None and attempt in attempts
         if known:
             attempts.remove(attempt)
-        if self.timeline is not None:
-            self.timeline.record(
-                "attempt.fail",
-                task.task_id,
-                app=self.app_id,
-                executor=executor.executor_id,
-                reason=reason,
-            )
         self._trace_attempt(attempt, reason)
         if known and not attempts:
             self._attempts.pop(task.task_id, None)
@@ -1298,15 +1264,6 @@ class ApplicationDriver:
             task.locality_level = (
                 "node" if was_local else self._remote_locality_level(task, executor)
             )
-        if self.timeline is not None:
-            self.timeline.record(
-                "task.finish",
-                task.task_id,
-                app=self.app_id,
-                local=task.was_local,
-                duration=task.duration,
-                speculative=attempt.speculative,
-            )
         self._trace_attempt(attempt, "success", read_time)
         job = self._jobs[task.job_id]
         if task.is_input and was_local is not None:
@@ -1345,8 +1302,8 @@ class ApplicationDriver:
             elif task in self._runnable:
                 self._runnable.remove(task)
             task.cancelled = True
-            if self.timeline is not None:
-                self.timeline.record("task.cancel", task.task_id, app=self.app_id)
+            if self.tracer.narrating:
+                self.tracer.narrate("task.cancel", task.task_id, app=self.app_id)
 
     def _on_stage_done(self, job: Job, stage_index: int) -> None:
         if stage_index + 1 < len(job.stages):
@@ -1354,21 +1311,15 @@ class ApplicationDriver:
             return
         job.finished_at = self.sim.now
         self._m_job_completions.inc()
-        if job.submitted_at is not None:
-            self._m_jct.observe(self.sim.now - job.submitted_at)
-        if self.timeline is not None:
-            self.timeline.record(
-                "job.finish",
-                job.job_id,
-                app=self.app_id,
-                jct=job.completion_time,
-                local_job=job.is_local_job,
-            )
-        if self.tracer.enabled and job.submitted_at is not None:
+        # Every job reaching its last barrier came through submit_job.
+        submitted = job.submitted_at
+        assert submitted is not None
+        self._m_jct.observe(self.sim.now - submitted)
+        if self.tracer.enabled:
             self.tracer.emit(
                 JobSpan(
-                    job.submitted_at,
-                    dur=self.sim.now - job.submitted_at,
+                    submitted,
+                    dur=self.sim.now - submitted,
                     track=self.app_id,
                     lane=job.job_id,
                     attrs={

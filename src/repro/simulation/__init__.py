@@ -7,8 +7,9 @@ A small, SimPy-flavoured core purpose-built for the Custody reproduction:
   cooperative processes for modelling drivers, executors and transfers.
 * :class:`Store` and :class:`CountingResource` — queued hand-off and counted
   capacity primitives.
-* :class:`Timeline` — an append-only trace of simulation events used by the
-  determinism property tests and for debugging.
+* :class:`Timeline` — an append-only trace of simulation events, fed as a
+  sink of the run's tracer; used by the golden/determinism tests and for
+  debugging.
 
 Design goals: zero global state (everything hangs off one ``Simulation``),
 strict determinism (ties broken by insertion sequence number), and clear

@@ -175,11 +175,13 @@ class TestExecutorRestartEpoch:
         from repro.cluster.cluster import Cluster, ClusterConfig
         from repro.faults.injector import FaultInjector
         from repro.hdfs.filesystem import HDFS
+        from repro.obs.tracer import Tracer
         from repro.simulation.engine import Simulation
         from repro.simulation.timeline import Timeline
 
         sim = Simulation()
         timeline = Timeline(lambda: sim.now)
+        tracer = Tracer(clock=lambda: sim.now, sinks=[timeline])
         cluster = Cluster(ClusterConfig(num_nodes=2))
         hdfs = HDFS(cluster)
         plan = FaultPlan([
@@ -190,7 +192,7 @@ class TestExecutorRestartEpoch:
             ExecutorFailure(at=13.0, executor_id="executor-000",
                             restart_delay=10.0),   # restart due at t=23
         ])
-        injector = FaultInjector(sim, cluster, hdfs, plan, timeline=timeline)
+        injector = FaultInjector(sim, cluster, hdfs, plan, tracer=tracer)
 
         sim.run(until=16.0)
         # The t=15 callback belongs to the first failure: stale, ignored.

@@ -10,6 +10,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkDegradation, NetworkPartition
 from repro.hdfs.filesystem import HDFS
 from repro.network.fabric import NetworkFabric
+from repro.obs.tracer import Tracer
 from repro.simulation.engine import Simulation
 from repro.simulation.timeline import Timeline
 
@@ -19,7 +20,8 @@ pytestmark = pytest.mark.faults
 def make_stack(num_nodes=4, engine="incremental", network_timeout=30.0, plan=None):
     sim = Simulation()
     timeline = Timeline(clock=lambda: sim.now)
-    fabric = NetworkFabric(sim, timeline=timeline, engine=engine)
+    tracer = Tracer(clock=lambda: sim.now, sinks=[timeline])
+    fabric = NetworkFabric(sim, engine=engine, tracer=tracer)
     cluster = Cluster(
         ClusterConfig(num_nodes=num_nodes, uplink=1.0, downlink=1.0),
         fabric=fabric,
@@ -28,7 +30,7 @@ def make_stack(num_nodes=4, engine="incremental", network_timeout=30.0, plan=Non
     injector = None
     if plan is not None:
         injector = FaultInjector(
-            sim, cluster, hdfs, plan, timeline=timeline, fabric=fabric,
+            sim, cluster, hdfs, plan, tracer=tracer, fabric=fabric,
             network_timeout=network_timeout,
         )
     return sim, fabric, timeline, injector

@@ -10,6 +10,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, NodeFailure
 from repro.hdfs.filesystem import HDFS
 from repro.network.fabric import NetworkFabric
+from repro.obs.tracer import Tracer
 from repro.simulation.engine import Simulation
 from repro.simulation.timeline import Timeline
 
@@ -19,7 +20,8 @@ pytestmark = pytest.mark.faults
 def make_stack(num_nodes, replication, plan, file_size=4.0):
     sim = Simulation()
     timeline = Timeline(clock=lambda: sim.now)
-    fabric = NetworkFabric(sim, timeline=timeline)
+    tracer = Tracer(clock=lambda: sim.now, sinks=[timeline])
+    fabric = NetworkFabric(sim, tracer=tracer)
     cluster = Cluster(
         ClusterConfig(num_nodes=num_nodes, uplink=1.0, downlink=1.0),
         fabric=fabric,
@@ -27,7 +29,7 @@ def make_stack(num_nodes, replication, plan, file_size=4.0):
     hdfs = HDFS(cluster, block_spec=BlockSpec(size=1.0, replication=replication))
     entry = hdfs.ingest("/data/f", file_size)
     injector = FaultInjector(
-        sim, cluster, hdfs, plan, timeline=timeline, fabric=fabric
+        sim, cluster, hdfs, plan, tracer=tracer, fabric=fabric
     )
     return sim, hdfs, timeline, injector, entry
 

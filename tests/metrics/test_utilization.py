@@ -47,6 +47,31 @@ class TestSyntheticTimelines:
         assert report.busy_slot_seconds == pytest.approx(6.0)
         assert report.slot_utilization == pytest.approx(6.0 / 8.0)
 
+    def test_hedged_attempt_occupies_a_slot(self):
+        tl = make_timeline(
+            [
+                (0.0, "task.start", "t0", {"executor": "e0"}),
+                (2.0, "task.hedge.start", "t0", {"executor": "e1"}),
+                (3.0, "task.finish", "t0", {}),
+            ]
+        )
+        report = analyze_utilization(tl, total_slots=2)
+        assert report.busy_slot_seconds == pytest.approx(3.0 + 1.0)
+        assert report.peak_concurrency == 2
+
+    def test_failed_attempt_ends_at_its_failure(self):
+        tl = make_timeline(
+            [
+                (0.0, "task.start", "t0", {"executor": "e0"}),
+                (1.0, "attempt.fail", "t0", {"executor": "e0", "reason": "node-down"}),
+                (5.0, "task.start", "t0", {"executor": "e1"}),
+                (7.0, "task.finish", "t0", {}),
+            ]
+        )
+        report = analyze_utilization(tl, total_slots=2)
+        assert report.busy_slot_seconds == pytest.approx(1.0 + 2.0)
+        assert report.peak_concurrency == 1
+
     def test_grant_release_counters(self):
         tl = make_timeline(
             [

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.network.fabric import NetworkFabric
+from repro.obs.tracer import Tracer
 from repro.simulation.engine import Simulation
 from repro.simulation.process import Process
 from repro.simulation.timeline import Timeline
@@ -106,7 +107,7 @@ def test_counters_accumulate(sim):
 
 def test_timeline_records_start_and_finish(sim):
     timeline = Timeline(clock=lambda: sim.now)
-    fabric = NetworkFabric(sim, timeline=timeline)
+    fabric = NetworkFabric(sim, tracer=Tracer(clock=lambda: sim.now, sinks=[timeline]))
     fabric.add_node("a", uplink=10, downlink=10)
     fabric.add_node("b", uplink=10, downlink=10)
     fabric.start_transfer("a", "b", size=10.0)

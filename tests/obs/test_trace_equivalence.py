@@ -69,3 +69,16 @@ def test_untraced_run_exposes_no_trace():
     assert result.tracer is None
     assert result.trace_events is None
     assert result.sampler is None
+
+
+def test_timeline_alone_exposes_no_trace():
+    # The timeline rides on a private tracer; the run still counts as untraced.
+    config = ExperimentConfig(
+        manager="custody", workload="wordcount", num_nodes=8,
+        num_apps=2, jobs_per_app=1, seed=1, timeline_enabled=True,
+    )
+    result = run_experiment(config)
+    assert result.timeline is not None and len(result.timeline) > 0
+    assert result.tracer is None
+    assert result.trace_events is None
+    assert result.sampler is None

@@ -8,6 +8,7 @@ from repro.common.errors import ConfigurationError
 from repro.obs.events import DRIVER, NETWORK, CounterEvent, SpanEvent, TraceEvent
 from repro.obs.sinks import JsonlSink, RingSink
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.simulation.timeline import Timeline
 
 pytestmark = pytest.mark.obs
 
@@ -78,6 +79,21 @@ class TestTracer:
         assert [e.name for e in late.events()] == ["new"]
         assert len(first) == 2
 
+    def test_narration_reaches_only_narrating_sinks(self):
+        ring = RingSink()
+        timeline = Timeline(clock=lambda: 3.0)
+        tracer = Tracer(clock=lambda: 3.0, sinks=[ring])
+        assert not tracer.narrating
+        tracer.add_sink(timeline)
+        assert tracer.narrating
+        tracer.narrate("task.start", "t-0", app="a")
+        assert len(ring) == 0
+        assert [(r.time, r.kind, r.subject) for r in timeline] == [(3.0, "task.start", "t-0")]
+
+    def test_disabled_tracer_does_not_narrate(self):
+        tracer = Tracer(sinks=[Timeline(clock=lambda: 0.0)], enabled=False)
+        assert not tracer.narrating
+
 
 class TestNullTracer:
     def test_is_disabled_and_silent(self):
@@ -89,6 +105,7 @@ class TestNullTracer:
     def test_rejects_sinks(self):
         with pytest.raises(RuntimeError, match="shared"):
             NULL_TRACER.add_sink(RingSink())
+        assert NULL_TRACER.narrating is False
 
     def test_is_a_tracer(self):
         assert isinstance(NullTracer(), Tracer)

@@ -8,6 +8,7 @@ from repro.common.units import BlockSpec
 from repro.hdfs.filesystem import HDFS
 from repro.hdfs.placement import PlacementPolicy
 from repro.network.fabric import NetworkFabric
+from repro.obs.tracer import Tracer
 from repro.scheduling.driver import ApplicationDriver
 from repro.scheduling.policies import DelayScheduler, FifoScheduler
 from repro.simulation.engine import Simulation
@@ -51,6 +52,7 @@ class Harness:
         self.entry = self.hdfs.ingest("/data/f", 4.0)  # blocks 0..3 on workers 0..3
         self.app = Application("app-0")
         self.timeline = Timeline(clock=lambda: self.sim.now)
+        tracer = Tracer(clock=lambda: self.sim.now, sinks=[self.timeline])
         self.driver = ApplicationDriver(
             self.sim,
             self.app,
@@ -58,7 +60,7 @@ class Harness:
             self.hdfs,
             self.fabric,
             DelayScheduler(wait=0.4),
-            timeline=self.timeline,
+            tracer=tracer,
         )
 
     def give_executor(self, index):

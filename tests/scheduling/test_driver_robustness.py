@@ -8,6 +8,7 @@ from repro.common.units import BlockSpec
 from repro.hdfs.filesystem import HDFS
 from repro.hdfs.placement import PlacementPolicy
 from repro.network.fabric import NetworkFabric
+from repro.obs.tracer import Tracer
 from repro.scheduling.driver import ApplicationDriver
 from repro.scheduling.policies import FifoScheduler
 from repro.scheduling.robustness import CLOSED, OPEN
@@ -54,6 +55,7 @@ class Harness:
         self.entry = self.hdfs.ingest("/data/f", 4.0)
         self.app = Application("app-0")
         self.timeline = Timeline(clock=lambda: self.sim.now)
+        tracer = Tracer(clock=lambda: self.sim.now, sinks=[self.timeline])
         self.driver = ApplicationDriver(
             self.sim,
             self.app,
@@ -61,7 +63,7 @@ class Harness:
             self.hdfs,
             self.fabric,
             FifoScheduler(),
-            timeline=self.timeline,
+            tracer=tracer,
             **driver_kwargs,
         )
 

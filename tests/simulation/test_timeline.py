@@ -1,5 +1,18 @@
-"""Timeline: recording, querying, fingerprinting."""
+"""Timeline: recording, querying, fingerprinting, projecting trace events."""
 
+import pytest
+
+from repro.obs.events import (
+    AllocationRound,
+    BreakerTransition,
+    FaultHealed,
+    FaultInjected,
+    TaskAttempt,
+    TraceEvent,
+    TransferSpan,
+)
+from repro.obs.sinks import RingSink
+from repro.obs.tracer import Tracer
 from repro.simulation.timeline import Timeline, TimelineRecord
 
 
@@ -19,9 +32,52 @@ def test_records_carry_time_and_details():
 
 
 def test_disabled_timeline_records_nothing():
-    tl = Timeline(clock=lambda: 0.0, enabled=False)
-    tl.record("x", "y")
+    # A timeline is off by not being attached: the tracer never reaches it.
+    tl = Timeline(clock=lambda: 0.0)
+    tracer = Tracer(clock=lambda: 0.0, sinks=[RingSink()])
+    tracer.emit(TraceEvent(0.0, "executor.release", lane="e-0", attrs={"app": "a"}))
+    assert not tracer.narrating
     assert len(tl) == 0
+
+
+def test_write_projects_typed_events_onto_records():
+    tl = make_timeline([7.0, 8.0, 9.0])
+    tl.write(BreakerTransition(
+        1.0, track="w-1", attrs={"node": "w-1", "state": "open", "prev": "closed", "app": "a"},
+    ))
+    tl.write(FaultInjected(2.0, track="w-2", attrs={
+        "kind": "correlated", "target": "w-2,w-3", "nodes": 2, "restart_delay": 4.0,
+    }))
+    tl.write(TransferSpan(3.0, dur=1.5, attrs={
+        "transfer": "xfer-1", "src": "w-1", "dst": "w-2", "size": 1.0, "outcome": "ok",
+    }))
+    assert [r.as_dict() for r in tl] == [
+        {"time": 7.0, "kind": "node.breaker", "subject": "w-1",
+         "app": "a", "prev": "closed", "state": "open"},
+        {"time": 8.0, "kind": "fault.correlated", "subject": "w-2,w-3", "restart_delay": 4.0},
+        {"time": 9.0, "kind": "transfer.finish", "subject": "xfer-1", "duration": 1.5},
+    ]
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        TraceEvent(1.0, "net.flush", attrs={"changed": 1}),  # no projection
+        FaultHealed(1.0, attrs={"kind": "slowdown", "target": "w-1"}),
+        TaskAttempt(1.0, attrs={"task": "t", "app": "a", "outcome": "killed"}),
+        AllocationRound(1.0, attrs={"manager": "yarn", "round": 1}),
+    ],
+)
+def test_write_skips_events_without_a_record(event):
+    tl = make_timeline([1.0])
+    tl.write(event)
+    assert len(tl) == 0
+
+
+def test_records_are_stamped_with_the_clock_not_the_span_end():
+    tl = make_timeline([0.3])
+    tl.write(TransferSpan(0.1, dur=0.2, attrs={"transfer": "x", "outcome": "ok"}))
+    assert tl[0].time == 0.3  # 0.1 + 0.2 != 0.3 in floating point
 
 
 def test_of_kind_filters():

@@ -198,7 +198,7 @@ def _make_sampler(
         return sum(len(e.running_tasks) for e in executors) / total_slots
 
     def pending_tasks() -> float:
-        return float(sum(len(d.runnable_tasks) for d in drivers.values()))
+        return float(sum(d.runnable_count for d in drivers.values()))
 
     def local_job_fraction() -> float:
         decided = locals_ = 0

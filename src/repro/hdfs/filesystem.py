@@ -110,7 +110,7 @@ class HDFS:
     def can_serve_locally(self, block_id: str, node_id: str) -> bool:
         """True when ``node_id`` holds the block on disk *or* in cache —
         the paper's locality test (§III-A)."""
-        return node_id in self.namenode.serving_locations(block_id)
+        return self.namenode.serves(block_id, node_id)
 
     # ----------------------------------------------------------------- caching
     @property

@@ -190,6 +190,28 @@ class NameNode:
             raise ConfigurationError(f"unknown block {block_id!r}")
         return sorted(nodes | self._cached.get(block_id, set()))
 
+    def serving_set(self, block_id: str) -> Set[str]:
+        """:meth:`serving_locations` as a fresh unordered set (no sort)."""
+        nodes = self._replicas.get(block_id)
+        if nodes is None:
+            raise ConfigurationError(f"unknown block {block_id!r}")
+        cached = self._cached.get(block_id)
+        return nodes | cached if cached else set(nodes)
+
+    def serves(self, block_id: str, node_id: str) -> bool:
+        """True when ``node_id`` can serve ``block_id`` locally (disk or cache).
+
+        The membership test behind :meth:`serving_locations`, without
+        building or sorting the union.
+        """
+        nodes = self._replicas.get(block_id)
+        if nodes is None:
+            raise ConfigurationError(f"unknown block {block_id!r}")
+        if node_id in nodes:
+            return True
+        cached = self._cached.get(block_id)
+        return cached is not None and node_id in cached
+
     def locate_file(self, path: str) -> List[Tuple[Block, List[str]]]:
         """The Custody query: every block of ``path`` with its replica nodes."""
         entry = self.file(path)

@@ -88,7 +88,7 @@ class MesosManager(ClusterManager):
     def on_executor_idle(self, driver: "ApplicationDriver", executor: Executor) -> None:
         # Fine-grained sharing: an app keeps an executor only while it has
         # work queued for it; otherwise the executor re-enters the pool.
-        if not driver.runnable_tasks:
+        if not driver.runnable_count:
             if self.revoke_idle(driver, executor):
                 self._offer_one(executor)
 
@@ -143,11 +143,11 @@ class MesosManager(ClusterManager):
         # must read the post-offer state.
         self._retry_armed = False
         free = self.free_pool()
-        wanted = any(d.runnable_tasks for d in self.drivers.values())
+        wanted = any(d.runnable_count for d in self.drivers.values())
         if free and wanted:
             self._run_round()
         # Re-arm while there is still unplaced work and idle capacity.
         free = self.free_pool()
-        wanted = any(d.runnable_tasks for d in self.drivers.values())
+        wanted = any(d.runnable_count for d in self.drivers.values())
         if free and wanted:
             self._arm_retry()

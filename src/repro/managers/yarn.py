@@ -40,7 +40,7 @@ class YarnManager(ClusterManager):
         # Reclaim promptly when the app has no work left for the slot.
         if driver.outstanding_tasks < self.needed_executors(driver):
             return
-        if not driver.runnable_tasks and driver.running_count == 0:
+        if not driver.runnable_count and driver.running_count == 0:
             self.revoke_idle(driver, executor)
 
     def on_executors_changed(self) -> None:

@@ -10,6 +10,8 @@ is to raise the *upper bound* locality the task scheduler can reach.
   slot before accepting a non-local one.
 * :class:`LocalityFirstScheduler` / :class:`FifoScheduler` — the two
   degenerate policies (infinite wait / zero wait) used in ablations.
+* :class:`RunnableQueue` — a driver's runnable tasks, indexed per node, per
+  rack and per locality wait so each policy answer is a FIFO-head lookup.
 * :class:`ApplicationDriver` — the Spark-driver analogue: receives jobs,
   walks their stage DAGs, launches tasks into owned executors via the task
   scheduler, and reports executor idleness to the cluster manager.
@@ -22,6 +24,7 @@ from repro.scheduling.policies import (
     LocalityFirstScheduler,
     TaskScheduler,
 )
+from repro.scheduling.queue import RunnableQueue
 from repro.scheduling.driver import ApplicationDriver
 
 __all__ = [
@@ -30,5 +33,6 @@ __all__ = [
     "FifoScheduler",
     "HintedDelayScheduler",
     "LocalityFirstScheduler",
+    "RunnableQueue",
     "TaskScheduler",
 ]

@@ -43,6 +43,7 @@ from repro.obs.events import BreakerTransition, HedgeLaunch, JobSpan, TaskAttemp
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.scheduling.policies import TaskScheduler
+from repro.scheduling.queue import RunnableQueue
 from repro.scheduling.robustness import CLOSED, CircuitBreakerBoard, RetryBudget
 from repro.simulation.engine import EventHandle, Simulation
 from repro.simulation.process import AllOf, Interrupt, Process, Timeout
@@ -207,7 +208,9 @@ class ApplicationDriver:
         #: notification is delivered by retry or by the recovery flush
         self._pending_submissions: List[Job] = []
         self._executors: Dict[str, Executor] = {}
-        self._runnable: List[Task] = []
+        #: ``executors`` cache, re-sorted after any grant or loss
+        self._executor_order: Optional[List[Executor]] = None
+        self._runnable = RunnableQueue(hdfs.namenode)
         self._attempts: Dict[str, List[_Attempt]] = {}
         self._stage_remaining: Dict[Tuple[str, int], int] = {}
         self._stage_durations: Dict[Tuple[str, int], List[float]] = {}
@@ -301,7 +304,12 @@ class ApplicationDriver:
     @property
     def executors(self) -> List[Executor]:
         """Executors currently granted to this application (id order)."""
-        return [self._executors[k] for k in sorted(self._executors)]
+        return list(self._ordered_executors())
+
+    def _ordered_executors(self) -> List[Executor]:
+        if self._executor_order is None:
+            self._executor_order = [self._executors[k] for k in sorted(self._executors)]
+        return self._executor_order
 
     @property
     def executor_count(self) -> int:
@@ -310,8 +318,13 @@ class ApplicationDriver:
 
     @property
     def runnable_tasks(self) -> List[Task]:
-        """Tasks ready to run, FIFO order."""
+        """Tasks ready to run, FIFO order (a copy)."""
         return list(self._runnable)
+
+    @property
+    def runnable_count(self) -> int:
+        """How many tasks are ready to run (no copy)."""
+        return len(self._runnable)
 
     @property
     def running_count(self) -> int:
@@ -416,7 +429,7 @@ class ApplicationDriver:
         self._stage_nodes[key] = []
         for task in stage.tasks:
             task.submitted_at = now
-            self._runnable.append(task)
+        self._runnable.extend(stage.tasks)
         self._m_queue_depth.set(len(self._runnable))
 
     # -------------------------------------------------------- executor churn
@@ -428,6 +441,7 @@ class ApplicationDriver:
                 f"cannot attach to {self.app_id!r}"
             )
         self._executors[executor.executor_id] = executor
+        self._executor_order = None
         self.demand_epoch += 1
         self._dispatch()
 
@@ -438,6 +452,7 @@ class ApplicationDriver:
                 f"{executor.executor_id} is busy; cannot detach from {self.app_id}"
             )
         self._executors.pop(executor.executor_id, None)
+        self._executor_order = None
         self.demand_epoch += 1
 
     def consider_offer(self, executor: Executor) -> bool:
@@ -445,7 +460,7 @@ class ApplicationDriver:
         if self._blacklisted(executor.node_id):
             return False
         return self.scheduler.accepts_offer(
-            self._runnable, executor.node_id, self.sim.now, self.hdfs.namenode
+            self._runnable, executor.node_id, self.sim.now
         )
 
     def set_task_hints(self, mapping: Dict[str, str]) -> None:
@@ -482,6 +497,7 @@ class ApplicationDriver:
                 if self._handle_task_failure(task, executor.node_id, "executor-lost"):
                     requeued += 1
         self._executors.pop(executor.executor_id, None)
+        self._executor_order = None
         self.demand_epoch += 1
         self._dispatch()
         return requeued
@@ -515,6 +531,7 @@ class ApplicationDriver:
                 self._requeue_task(task, executor.node_id, dispatch=False)
                 requeued += 1
         self._executors.pop(executor.executor_id, None)
+        self._executor_order = None
         self.demand_epoch += 1
         self._dispatch()
         return requeued
@@ -601,7 +618,7 @@ class ApplicationDriver:
         if (
             task.is_input
             and task.block is not None
-            and not self.hdfs.namenode.serving_locations(task.block.block_id)
+            and not self.hdfs.namenode.serving_set(task.block.block_id)
         ):
             self.data_loss_tasks += 1
             self._abandon_task(task, "data-loss")
@@ -661,7 +678,7 @@ class ApplicationDriver:
             return  # cancelled (KMN surplus) or finished meanwhile
         if task in self._runnable or task.task_id in self._attempts:
             return
-        self._runnable.append(task)
+        self._runnable.push(task)
         self.demand_epoch += 1
         self.requeued_tasks += 1
         self._m_retries.inc()
@@ -734,34 +751,42 @@ class ApplicationDriver:
             self._dispatch()
 
     def _dispatch(self) -> None:
-        """Greedily match runnable tasks to free slots, then arm the wakeup."""
-        namenode = self.hdfs.namenode
-        now = self.sim.now
-        progressed = True
-        while progressed and self._runnable:
-            progressed = False
-            for executor in self.executors:
-                if (
-                    executor.free_slots <= 0
-                    or not executor.healthy
-                    or self._blacklisted(executor.node_id)
-                ):
-                    continue
-                task = self.scheduler.pick_task(
-                    self._runnable,
-                    executor.node_id,
-                    now,
-                    namenode,
-                    executor_id=executor.executor_id,
-                )
-                if task is None:
-                    continue
-                self._runnable.remove(task)
-                self._start_attempt(task, executor, speculative=False)
-                progressed = True
-                if not self._runnable:
-                    break
-        self._m_queue_depth.set(len(self._runnable))
+        """Greedily match runnable tasks to free slots, then arm the wakeup.
+
+        Passes run over the healthy executors with free slots on the nodes
+        the scheduler could place a task on, in id order, one launch per
+        executor per pass.  An executor leaves the rotation once it is full,
+        excluded or offered nothing: at a fixed instant a shrinking queue
+        cannot turn an empty answer into a task (the :class:`TaskScheduler`
+        contract).
+        """
+        runnable = self._runnable
+        if runnable:
+            now = self.sim.now
+            pick = self.scheduler.pick_task
+            candidates = self._ordered_executors()
+            nodes = self.scheduler.eligible_nodes(runnable, now)
+            if nodes is not None:
+                candidates = [e for e in candidates if e.node_id in nodes]
+            rotation = [e for e in candidates if e.free_slots > 0 and e.healthy]
+            while rotation and runnable:
+                kept = []
+                for executor in rotation:
+                    if self._blacklisted(executor.node_id):
+                        continue
+                    task = pick(
+                        runnable, executor.node_id, now, executor_id=executor.executor_id
+                    )
+                    if task is None:
+                        continue
+                    runnable.remove(task)
+                    self._start_attempt(task, executor, speculative=False)
+                    if executor.free_slots > 0:
+                        kept.append(executor)
+                    if not runnable:
+                        break
+                rotation = kept
+        self._m_queue_depth.set(len(runnable))
         if self.speculation:
             self._launch_speculative_attempts()
         if self.hedging:
@@ -774,11 +799,11 @@ class ApplicationDriver:
             self._wakeup = None
         if not self._runnable:
             return
-        free = [e for e in self._executors.values() if e.free_slots > 0]
-        if not free:
-            return
-        usable = [e for e in free if not self._blacklisted(e.node_id)]
-        if not usable:
+        executors = self._executors.values()
+        if not any(e.free_slots > 0 and not self._blacklisted(e.node_id) for e in executors):
+            free = [e for e in executors if e.free_slots > 0]
+            if not free:
+                return
             # Every free slot sits on an excluded node: wake up when the
             # earliest blacklist expiry / breaker probe admits one again.
             if self.breakers is not None:
@@ -867,8 +892,8 @@ class ApplicationDriver:
         if not candidates:
             return None
         if task.is_input and task.block is not None:
-            serving = set(self.hdfs.namenode.serving_locations(task.block.block_id))
-            local = [e for e in candidates if e.node_id in serving]
+            serves, block_id = self.hdfs.namenode.serves, task.block.block_id
+            local = [e for e in candidates if serves(block_id, e.node_id)]
             if local:
                 return local[0]
         return candidates[0]
@@ -970,8 +995,8 @@ class ApplicationDriver:
         trusted = [e for e in candidates if not self._node_suspected(e.node_id)]
         pool = trusted or candidates
         if task.is_input and task.block is not None:
-            serving = set(self.hdfs.namenode.serving_locations(task.block.block_id))
-            local = [e for e in pool if e.node_id in serving]
+            serves, block_id = self.hdfs.namenode.serves, task.block.block_id
+            local = [e for e in pool if serves(block_id, e.node_id)]
             if local:
                 return local[0]
         return pool[0]
@@ -1204,7 +1229,7 @@ class ApplicationDriver:
         assert task.block is not None
         topology = self.cluster.topology
         rack = topology.rack_of(executor.node_id)
-        holders = self.hdfs.namenode.serving_locations(task.block.block_id)
+        holders = self.hdfs.namenode.serving_set(task.block.block_id)
         if any(topology.rack_of(h) == rack for h in holders):
             return "rack"
         return "any"
@@ -1222,10 +1247,7 @@ class ApplicationDriver:
         upstream = self._stage_nodes.get(key)
         if not upstream:
             return []
-        distinct: List[str] = []
-        for node in upstream:
-            if node not in distinct:
-                distinct.append(node)
+        distinct = list(dict.fromkeys(upstream))  # first-seen order
         take = min(self.shuffle_fanout, len(distinct))
         idx = self._shuffle_rotation.get(key, 0)
         self._shuffle_rotation[key] = idx + take

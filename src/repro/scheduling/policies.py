@@ -8,15 +8,19 @@ bet that a local task will claim it soon.
 Policies also expose :meth:`next_wakeup`, the earliest future time at which
 a currently-ineligible task would become eligible (its locality wait
 expiring), so the driver can re-dispatch exactly then.
+
+Policies read the driver's :class:`~repro.scheduling.queue.RunnableQueue`
+through its indexes rather than scanning it; each answer is still the one a
+FIFO scan would give (see each policy's pick order).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Collection, Dict, Optional, Set
 
 from repro.cluster.topology import Topology
-from repro.hdfs.namenode import NameNode
+from repro.scheduling.queue import RunnableQueue
 from repro.workload.task import Task
 
 __all__ = [
@@ -29,15 +33,20 @@ __all__ = [
 
 
 class TaskScheduler(abc.ABC):
-    """Strategy interface for in-application task placement."""
+    """Strategy interface for in-application task placement.
+
+    Contract the driver relies on: at a fixed instant, a policy that
+    returns None for a slot keeps returning None for it while tasks only
+    leave the queue, so one dispatch pass drops an executor after its
+    first empty answer.
+    """
 
     @abc.abstractmethod
     def pick_task(
         self,
-        runnable: Sequence[Task],
+        runnable: RunnableQueue,
         node_id: str,
         now: float,
-        namenode: NameNode,
         executor_id: Optional[str] = None,
     ) -> Optional[Task]:
         """Choose the task to launch on a free slot at ``node_id``, or None.
@@ -46,27 +55,22 @@ class TaskScheduler(abc.ABC):
         only hint-aware policies use it; locality is node-level.
         """
 
-    def next_wakeup(
-        self, runnable: Sequence[Task], now: float
-    ) -> Optional[float]:
+    def next_wakeup(self, runnable: RunnableQueue, now: float) -> Optional[float]:
         """Earliest future time a scheduling decision could change, or None."""
         return None
 
-    def accepts_offer(
-        self,
-        runnable: Sequence[Task],
-        node_id: str,
-        now: float,
-        namenode: NameNode,
-    ) -> bool:
+    def eligible_nodes(
+        self, runnable: RunnableQueue, now: float
+    ) -> Optional[Collection[str]]:
+        """Nodes whose slots :meth:`pick_task` could fill now (None: any).
+
+        The driver offers slots only on these nodes; any superset is safe.
+        """
+        return None
+
+    def accepts_offer(self, runnable: RunnableQueue, node_id: str, now: float) -> bool:
         """Offer-model hook (Mesos): would this app use a slot on ``node_id``?"""
-        return self.pick_task(runnable, node_id, now, namenode) is not None
-
-
-def _is_local(task: Task, node_id: str, namenode: NameNode) -> bool:
-    """Node-level locality test for an input task (disk or cached copy)."""
-    assert task.block is not None
-    return node_id in namenode.serving_locations(task.block.block_id)
+        return self.pick_task(runnable, node_id, now) is not None
 
 
 class DelayScheduler(TaskScheduler):
@@ -79,6 +83,10 @@ class DelayScheduler(TaskScheduler):
     the two-level node→any scheme (any slot after ``wait``).  Shuffle tasks
     carry no locality preference and run anywhere immediately.  ``wait``
     defaults to 3 s — Spark's ``spark.locality.wait``.
+
+    Pick order: the first node-local input task in FIFO order; else the
+    first rack-local one whose ``wait`` ran out; else the first task that
+    is a shuffle task or whose last wait ran out.
     """
 
     def __init__(
@@ -98,63 +106,28 @@ class DelayScheduler(TaskScheduler):
         self.rack_wait = rack_wait
         self.topology = topology
 
-    def _is_rack_local(self, task: Task, node_id: str, namenode: NameNode) -> bool:
-        assert task.block is not None and self.topology is not None
-        rack = self.topology.rack_of(node_id)
-        return any(
-            self.topology.rack_of(holder) == rack
-            for holder in namenode.serving_locations(task.block.block_id)
-        )
-
     def pick_task(
         self,
-        runnable: Sequence[Task],
+        runnable: RunnableQueue,
         node_id: str,
         now: float,
-        namenode: NameNode,
         executor_id: Optional[str] = None,
     ) -> Optional[Task]:
-        rack_fallback: Optional[Task] = None
-        any_fallback: Optional[Task] = None
-        laddered = self.rack_wait is not None and self.topology is not None
-        for task in runnable:
-            if not task.is_input:
-                if any_fallback is None:
-                    any_fallback = task
-                continue
-            if _is_local(task, node_id, namenode):
-                return task
-            if task.submitted_at is None:
-                continue
-            waited = now - task.submitted_at
-            if laddered:
-                if (
-                    rack_fallback is None
-                    and waited >= self.wait
-                    and self._is_rack_local(task, node_id, namenode)
-                ):
-                    rack_fallback = task
-                if any_fallback is None and waited >= self.wait + self.rack_wait:
-                    any_fallback = task
-            elif any_fallback is None and waited >= self.wait:
-                any_fallback = task
-        return rack_fallback if rack_fallback is not None else any_fallback
+        return runnable.first_eligible(
+            node_id, now, self.wait, self.rack_wait, self.topology
+        )
 
-    def next_wakeup(self, runnable: Sequence[Task], now: float) -> Optional[float]:
-        laddered = self.rack_wait is not None and self.topology is not None
-        earliest: Optional[float] = None
-        for task in runnable:
-            if task.is_input and task.submitted_at is not None:
-                for expiry in (
-                    task.submitted_at + self.wait,
-                    task.submitted_at + self.wait + (self.rack_wait or 0.0)
-                    if laddered
-                    else None,
-                ):
-                    if expiry is not None and expiry > now:
-                        if earliest is None or expiry < earliest:
-                            earliest = expiry
-        return earliest
+    def eligible_nodes(
+        self, runnable: RunnableQueue, now: float
+    ) -> Optional[Collection[str]]:
+        return runnable.placeable_nodes(now, self.wait)
+
+    def next_wakeup(self, runnable: RunnableQueue, now: float) -> Optional[float]:
+        near = runnable.next_expiry(now, self.wait)
+        if self.rack_wait is None:
+            return near
+        far = runnable.next_expiry(now, self.wait, self.rack_wait)
+        return min((t for t in (near, far) if t is not None), default=None)
 
 
 class LocalityFirstScheduler(TaskScheduler):
@@ -164,20 +137,22 @@ class LocalityFirstScheduler(TaskScheduler):
     the best locality any scheduler could reach on a given executor set (it
     may deadlock a job whose data the app's executors simply do not hold, so
     production use pairs it with a manager that guarantees coverage).
+    Pick order: the first task that is a shuffle task or node-local.
     """
 
     def pick_task(
         self,
-        runnable: Sequence[Task],
+        runnable: RunnableQueue,
         node_id: str,
         now: float,
-        namenode: NameNode,
         executor_id: Optional[str] = None,
     ) -> Optional[Task]:
-        for task in runnable:
-            if not task.is_input or _is_local(task, node_id, namenode):
-                return task
-        return None
+        return runnable.earlier(runnable.first_local(node_id), runnable.first_shuffle())
+
+    def eligible_nodes(
+        self, runnable: RunnableQueue, now: float
+    ) -> Optional[Collection[str]]:
+        return runnable.placeable_nodes(now)
 
 
 class HintedDelayScheduler(DelayScheduler):
@@ -200,10 +175,19 @@ class HintedDelayScheduler(DelayScheduler):
     ):
         super().__init__(wait, rack_wait=rack_wait, topology=topology)
         self.hints: dict = {}
+        #: executor id → task ids ever hinted to it (stale once re-hinted)
+        self._hinted: Dict[str, Set[str]] = {}
 
     def set_hints(self, mapping: dict) -> None:
         """Merge task-id → executor-id hints from the latest allocation."""
         self.hints.update(mapping)
+        for task_id, executor_id in mapping.items():
+            self._hinted.setdefault(executor_id, set()).add(task_id)
+
+    def eligible_nodes(
+        self, runnable: RunnableQueue, now: float
+    ) -> Optional[Collection[str]]:
+        return None  # a hint places its task on its executor, wherever it is
 
     def _reserved_elsewhere(self, task: Task, executor_id: Optional[str], now: float) -> bool:
         hint = self.hints.get(task.task_id)
@@ -214,22 +198,42 @@ class HintedDelayScheduler(DelayScheduler):
             return True
         return now - task.submitted_at < self.wait
 
+    def _first_hinted(self, runnable: RunnableQueue, executor_id: str) -> Optional[Task]:
+        """First queued task (FIFO order) hinted to ``executor_id``."""
+        hinted = self._hinted.get(executor_id)
+        if not hinted:
+            return None
+        first: Optional[int] = None
+        for task_id in list(hinted):
+            if self.hints.get(task_id) != executor_id:
+                hinted.discard(task_id)
+                continue
+            seq = runnable.seq_of(task_id)
+            if seq is not None and (first is None or seq < first):
+                first = seq
+        return None if first is None else runnable.task_at(first)
+
     def pick_task(
         self,
-        runnable: Sequence[Task],
+        runnable: RunnableQueue,
         node_id: str,
         now: float,
-        namenode: NameNode,
         executor_id: Optional[str] = None,
     ) -> Optional[Task]:
         if executor_id is not None:
-            for task in runnable:
-                if self.hints.get(task.task_id) == executor_id:
-                    return task
-        eligible = [
-            t for t in runnable if not self._reserved_elsewhere(t, executor_id, now)
-        ]
-        return super().pick_task(eligible, node_id, now, namenode, executor_id)
+            hinted = self._first_hinted(runnable, executor_id)
+            if hinted is not None:
+                return hinted
+        # Tasks whose wait ran out are past any reservation, so ``skip``
+        # only matters for the local and shuffle steps.
+        skip = (
+            (lambda task: self._reserved_elsewhere(task, executor_id, now))
+            if self.hints
+            else None
+        )
+        return runnable.first_eligible(
+            node_id, now, self.wait, self.rack_wait, self.topology, skip
+        )
 
 
 class FifoScheduler(TaskScheduler):
@@ -237,10 +241,9 @@ class FifoScheduler(TaskScheduler):
 
     def pick_task(
         self,
-        runnable: Sequence[Task],
+        runnable: RunnableQueue,
         node_id: str,
         now: float,
-        namenode: NameNode,
         executor_id: Optional[str] = None,
     ) -> Optional[Task]:
-        return runnable[0] if runnable else None
+        return runnable.first()

@@ -1,4 +1,5 @@
-"""The whole-run reference seam really swaps both engines, and only inside."""
+"""The whole-run reference seam really swaps the engines and the task
+schedulers, and only inside."""
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
@@ -8,6 +9,10 @@ CONFIG = ExperimentConfig(
     manager="custody", workload="sort", num_nodes=8, num_apps=2,
     jobs_per_app=1, seed=4, metrics=True,
 )
+
+
+def scheduler_classes(result):
+    return {type(d.scheduler).__name__ for d in result.manager.drivers.values()}
 
 
 def recomputes_by_engine(result):
@@ -21,6 +26,7 @@ def test_seam_runs_the_reference_engines():
     assert result.manager.alloc_engine == "reference"
     assert recomputes_by_engine(result).get("reference", 0) > 0
     assert recomputes_by_engine(result).get("incremental", 0) == 0
+    assert scheduler_classes(result) == {"ScanDelayScheduler"}
 
 
 def test_runs_outside_the_seam_use_the_production_engines():
@@ -30,3 +36,4 @@ def test_runs_outside_the_seam_use_the_production_engines():
     assert result.manager.alloc_engine == "incremental"
     assert recomputes_by_engine(result).get("incremental", 0) > 0
     assert recomputes_by_engine(result).get("reference", 0) == 0
+    assert scheduler_classes(result) == {"DelayScheduler"}

@@ -2,11 +2,13 @@
 
 Runs always use the production engines; the from-scratch network and
 allocation implementations survive only as test oracles, reached through
-constructor arguments.  :func:`reference_stack` patches the two places a
+constructor arguments, and the scanning task schedulers live in
+``tests/scan_policies.py``.  :func:`reference_stack` patches the two places a
 whole experiment builds them (``repro.experiments.runner`` and the
 paper-figure scenarios) so any ``run_experiment`` / figure call inside the
-block runs on ``NetworkFabric(engine="reference")`` and
-``CustodyManager(alloc_engine="reference")``.
+block runs on ``NetworkFabric(engine="reference")``,
+``CustodyManager(alloc_engine="reference")`` and the scan schedulers
+(:func:`~tests.scan_policies.scan_dispatch`).
 
 The ``stack`` fixture parametrizes a test over both stacks, entering the
 seam for the ``"reference"`` case.  Patches are process-local: run
@@ -26,6 +28,7 @@ import repro.experiments.runner as runner
 import repro.experiments.scenarios as scenarios
 from repro.managers.custody import CustodyManager
 from repro.network.fabric import NetworkFabric
+from tests.scan_policies import scan_dispatch
 
 #: Engine stacks a whole-run equivalence test covers.
 STACKS = ("reference", "incremental")
@@ -33,11 +36,12 @@ STACKS = ("reference", "incremental")
 
 @contextmanager
 def reference_stack() -> Iterator[None]:
-    """Build every run's fabric and Custody manager on the reference engines."""
+    """Build every run's fabric, Custody manager and task schedulers on the
+    reference implementations."""
     fabric = partial(NetworkFabric, engine="reference")
     with mock.patch.object(runner, "NetworkFabric", fabric), mock.patch.object(
         runner, "CustodyManager", partial(CustodyManager, alloc_engine="reference")
-    ), mock.patch.object(scenarios, "NetworkFabric", fabric):
+    ), mock.patch.object(scenarios, "NetworkFabric", fabric), scan_dispatch():
         yield
 
 

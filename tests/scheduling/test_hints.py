@@ -8,6 +8,7 @@ from repro.hdfs.blocks import Block
 from repro.hdfs.namenode import FileEntry, NameNode
 from repro.scheduling.policies import HintedDelayScheduler
 from repro.workload.task import Task, TaskKind
+from tests.scan_policies import queue_of
 
 
 @pytest.fixture
@@ -36,7 +37,7 @@ class TestHintedPicks:
         t0, t1 = input_task("t0", 0), input_task("t1", 1)
         # FIFO/locality would pick t0 first; the hint says t1 belongs to e1.
         sched.set_hints({"t1": "e1"})
-        picked = sched.pick_task([t0, t1], "n0", 0.0, namenode, executor_id="e1")
+        picked = sched.pick_task(queue_of([t0, t1], namenode), "n0", 0.0, executor_id="e1")
         assert picked is t1
 
     def test_reservation_blocks_other_executors(self, namenode):
@@ -44,26 +45,26 @@ class TestHintedPicks:
         t0 = input_task("t0", 0)
         sched.set_hints({"t0": "e9"})
         # e1 on the same (local!) node must leave t0 for e9 within the wait.
-        assert sched.pick_task([t0], "n0", 0.0, namenode, executor_id="e1") is None
+        assert sched.pick_task(queue_of([t0], namenode), "n0", 0.0, executor_id="e1") is None
 
     def test_reservation_lapses_after_wait(self, namenode):
         sched = HintedDelayScheduler(wait=3.0)
         t0 = input_task("t0", 0, submitted_at=0.0)
         sched.set_hints({"t0": "e9"})
-        picked = sched.pick_task([t0], "n0", 3.5, namenode, executor_id="e1")
+        picked = sched.pick_task(queue_of([t0], namenode), "n0", 3.5, executor_id="e1")
         assert picked is t0
 
     def test_unhinted_tasks_follow_delay_rules(self, namenode):
         sched = HintedDelayScheduler(wait=3.0)
         t0 = input_task("t0", 0)
-        assert sched.pick_task([t0], "n0", 0.0, namenode, executor_id="e1") is t0
+        assert sched.pick_task(queue_of([t0], namenode), "n0", 0.0, executor_id="e1") is t0
 
     def test_without_executor_id_behaves_like_delay(self, namenode):
         sched = HintedDelayScheduler(wait=3.0)
         t0 = input_task("t0", 0)
         sched.set_hints({"t0": "e9"})
         # No executor identity: the reservation still protects the task.
-        assert sched.pick_task([t0], "n0", 0.0, namenode) is None
+        assert sched.pick_task(queue_of([t0], namenode), "n0", 0.0) is None
 
     def test_hints_merge(self, namenode):
         sched = HintedDelayScheduler(wait=3.0)

@@ -10,6 +10,7 @@ from repro.scheduling.policies import (
     LocalityFirstScheduler,
 )
 from repro.workload.task import Task, TaskKind
+from tests.scan_policies import queue_of
 
 
 @pytest.fixture
@@ -47,38 +48,38 @@ class TestDelayScheduler:
     def test_prefers_local_task(self, namenode):
         sched = DelayScheduler(wait=3.0)
         tasks = [input_task("t0", 1), input_task("t1", 0)]  # t1 local on n0
-        assert sched.pick_task(tasks, "n0", now=0.0, namenode=namenode) is tasks[1]
+        assert sched.pick_task(queue_of(tasks, namenode), "n0", now=0.0) is tasks[1]
 
     def test_withholds_nonlocal_before_wait_expiry(self, namenode):
         sched = DelayScheduler(wait=3.0)
         tasks = [input_task("t0", 1)]  # local only on n1
-        assert sched.pick_task(tasks, "n0", now=1.0, namenode=namenode) is None
+        assert sched.pick_task(queue_of(tasks, namenode), "n0", now=1.0) is None
 
     def test_releases_nonlocal_after_wait(self, namenode):
         sched = DelayScheduler(wait=3.0)
         tasks = [input_task("t0", 1, submitted_at=0.0)]
-        assert sched.pick_task(tasks, "n0", now=3.0, namenode=namenode) is tasks[0]
+        assert sched.pick_task(queue_of(tasks, namenode), "n0", now=3.0) is tasks[0]
 
     def test_local_beats_expired_nonlocal(self, namenode):
         sched = DelayScheduler(wait=1.0)
         expired = input_task("t0", 1, submitted_at=0.0)
         local = input_task("t1", 0, submitted_at=5.0)
         assert (
-            sched.pick_task([expired, local], "n0", now=10.0, namenode=namenode)
+            sched.pick_task(queue_of([expired, local], namenode), "n0", now=10.0)
             is local
         )
 
     def test_shuffle_tasks_run_anywhere_immediately(self, namenode):
         sched = DelayScheduler(wait=3.0)
         tasks = [shuffle_task("t0")]
-        assert sched.pick_task(tasks, "n2", now=0.0, namenode=namenode) is tasks[0]
+        assert sched.pick_task(queue_of(tasks, namenode), "n2", now=0.0) is tasks[0]
 
     def test_fifo_among_local_tasks(self, namenode):
         sched = DelayScheduler(wait=3.0)
         t_old = input_task("t0", 0, submitted_at=0.0)
         t_new = input_task("t1", 2, submitted_at=1.0)  # also local on n0
         assert (
-            sched.pick_task([t_old, t_new], "n0", now=2.0, namenode=namenode)
+            sched.pick_task(queue_of([t_old, t_new], namenode), "n0", now=2.0)
             is t_old
         )
 
@@ -88,17 +89,17 @@ class TestDelayScheduler:
             input_task("t0", 1, submitted_at=0.0),
             input_task("t1", 1, submitted_at=2.0),
         ]
-        assert sched.next_wakeup(tasks, now=1.0) == pytest.approx(3.0)
+        assert sched.next_wakeup(queue_of(tasks, namenode), now=1.0) == pytest.approx(3.0)
 
     def test_next_wakeup_none_when_all_expired(self, namenode):
         sched = DelayScheduler(wait=1.0)
         tasks = [input_task("t0", 1, submitted_at=0.0)]
-        assert sched.next_wakeup(tasks, now=5.0) is None
+        assert sched.next_wakeup(queue_of(tasks, namenode), now=5.0) is None
 
     def test_zero_wait_behaves_like_fifo(self, namenode):
         sched = DelayScheduler(wait=0.0)
         tasks = [input_task("t0", 1)]
-        assert sched.pick_task(tasks, "n0", now=0.0, namenode=namenode) is tasks[0]
+        assert sched.pick_task(queue_of(tasks, namenode), "n0", now=0.0) is tasks[0]
 
     def test_negative_wait_rejected(self):
         with pytest.raises(ValueError):
@@ -107,32 +108,32 @@ class TestDelayScheduler:
     def test_accepts_offer_mirrors_pick(self, namenode):
         sched = DelayScheduler(wait=3.0)
         tasks = [input_task("t0", 1)]
-        assert not sched.accepts_offer(tasks, "n0", now=0.0, namenode=namenode)
-        assert sched.accepts_offer(tasks, "n1", now=0.0, namenode=namenode)
+        assert not sched.accepts_offer(queue_of(tasks, namenode), "n0", now=0.0)
+        assert sched.accepts_offer(queue_of(tasks, namenode), "n1", now=0.0)
 
 
 class TestLocalityFirstScheduler:
     def test_never_places_nonlocal_input(self, namenode):
         sched = LocalityFirstScheduler()
         tasks = [input_task("t0", 1)]
-        assert sched.pick_task(tasks, "n0", now=99.0, namenode=namenode) is None
+        assert sched.pick_task(queue_of(tasks, namenode), "n0", now=99.0) is None
 
     def test_places_local_input(self, namenode):
         sched = LocalityFirstScheduler()
         tasks = [input_task("t0", 0)]
-        assert sched.pick_task(tasks, "n0", now=0.0, namenode=namenode) is tasks[0]
+        assert sched.pick_task(queue_of(tasks, namenode), "n0", now=0.0) is tasks[0]
 
     def test_shuffle_always_eligible(self, namenode):
         sched = LocalityFirstScheduler()
         tasks = [shuffle_task("t0")]
-        assert sched.pick_task(tasks, "n2", now=0.0, namenode=namenode) is tasks[0]
+        assert sched.pick_task(queue_of(tasks, namenode), "n2", now=0.0) is tasks[0]
 
 
 class TestFifoScheduler:
     def test_takes_head_of_queue(self, namenode):
         sched = FifoScheduler()
         tasks = [input_task("t0", 1), input_task("t1", 0)]
-        assert sched.pick_task(tasks, "n0", now=0.0, namenode=namenode) is tasks[0]
+        assert sched.pick_task(queue_of(tasks, namenode), "n0", now=0.0) is tasks[0]
 
     def test_empty_queue(self, namenode):
-        assert FifoScheduler().pick_task([], "n0", now=0.0, namenode=namenode) is None
+        assert FifoScheduler().pick_task(queue_of([], namenode), "n0", now=0.0) is None

@@ -9,6 +9,7 @@ from repro.hdfs.blocks import Block
 from repro.hdfs.namenode import FileEntry, NameNode
 from repro.scheduling.policies import DelayScheduler
 from repro.workload.task import Task, TaskKind
+from tests.scan_policies import queue_of
 
 
 @pytest.fixture
@@ -43,25 +44,25 @@ class TestLadder:
     def test_node_local_always_preferred(self, topo, namenode):
         sched = DelayScheduler(wait=3.0, rack_wait=3.0, topology=topo)
         tasks = [input_task("t0", 0)]
-        assert sched.pick_task(tasks, "n0", 0.0, namenode) is tasks[0]
+        assert sched.pick_task(queue_of(tasks, namenode), "n0", 0.0) is tasks[0]
 
     def test_rack_local_blocked_before_node_wait(self, topo, namenode):
         sched = DelayScheduler(wait=3.0, rack_wait=3.0, topology=topo)
         tasks = [input_task("t0", 0)]  # replica on n0 (rack-0)
         # n1 is rack-local but the node wait has not expired.
-        assert sched.pick_task(tasks, "n1", 1.0, namenode) is None
+        assert sched.pick_task(queue_of(tasks, namenode), "n1", 1.0) is None
 
     def test_rack_local_allowed_after_node_wait(self, topo, namenode):
         sched = DelayScheduler(wait=3.0, rack_wait=3.0, topology=topo)
         tasks = [input_task("t0", 0)]
-        assert sched.pick_task(tasks, "n1", 3.0, namenode) is tasks[0]
+        assert sched.pick_task(queue_of(tasks, namenode), "n1", 3.0) is tasks[0]
 
     def test_off_rack_blocked_until_full_ladder(self, topo, namenode):
         sched = DelayScheduler(wait=3.0, rack_wait=3.0, topology=topo)
         tasks = [input_task("t0", 0)]  # rack-0 only
         # n2 is in rack-1: neither node- nor rack-local.
-        assert sched.pick_task(tasks, "n2", 4.0, namenode) is None
-        assert sched.pick_task(tasks, "n2", 6.0, namenode) is tasks[0]
+        assert sched.pick_task(queue_of(tasks, namenode), "n2", 4.0) is None
+        assert sched.pick_task(queue_of(tasks, namenode), "n2", 6.0) is tasks[0]
 
     def test_rack_preferred_over_any(self, topo, namenode):
         sched = DelayScheduler(wait=1.0, rack_wait=1.0, topology=topo)
@@ -69,15 +70,15 @@ class TestLadder:
         rack_local = input_task("t1", 0, submitted_at=5.0)  # rack-0 data
         # On n1 (rack-0) at t=6: t0 cleared the full ladder (any), t1 cleared
         # only the node wait (rack-local on n1).  Rack beats any.
-        picked = sched.pick_task([off_rack, rack_local], "n1", 6.0, namenode)
+        picked = sched.pick_task(queue_of([off_rack, rack_local], namenode), "n1", 6.0)
         assert picked is rack_local
 
     def test_next_wakeup_includes_both_rungs(self, topo, namenode):
         sched = DelayScheduler(wait=2.0, rack_wait=3.0, topology=topo)
         tasks = [input_task("t0", 0, submitted_at=0.0)]
-        assert sched.next_wakeup(tasks, now=1.0) == pytest.approx(2.0)
-        assert sched.next_wakeup(tasks, now=2.5) == pytest.approx(5.0)
-        assert sched.next_wakeup(tasks, now=6.0) is None
+        assert sched.next_wakeup(queue_of(tasks, namenode), now=1.0) == pytest.approx(2.0)
+        assert sched.next_wakeup(queue_of(tasks, namenode), now=2.5) == pytest.approx(5.0)
+        assert sched.next_wakeup(queue_of(tasks, namenode), now=6.0) is None
 
     def test_rack_wait_requires_topology(self):
         with pytest.raises(ValueError):

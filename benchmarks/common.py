@@ -1,8 +1,7 @@
 """Shared bench infrastructure.
 
-* Scale control: benches default to a CI-friendly fraction of the paper's
-  setup (8 jobs per application instead of 30).  Set ``REPRO_FULL=1`` to run
-  the full §VI-A configuration.
+* Scale: every bench runs the paper's §VI-A configuration (4 applications
+  x 30 jobs each).
 * Result cache: several figures share the same underlying experiment runs
   (Fig. 7 and Fig. 8 both need standalone-vs-custody sweeps), so runs are
   memoised per process.
@@ -13,17 +12,14 @@
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
 
-FULL_SCALE = os.environ.get("REPRO_FULL", "") == "1"
-
-#: Jobs per application (paper: 30) and applications (paper: 4).
-JOBS_PER_APP = 30 if FULL_SCALE else 8
+#: Jobs per application and applications (§VI-A).
+JOBS_PER_APP = 30
 NUM_APPS = 4
 #: Cluster sizes of Fig. 7/8's panels.
 CLUSTER_SIZES = (25, 50, 100)
@@ -44,7 +40,7 @@ def cached_run(config: ExperimentConfig) -> ExperimentResult:
 
 
 def paper_config(workload: str, num_nodes: int, manager: str, **overrides) -> ExperimentConfig:
-    """The §VI-A configuration at bench scale."""
+    """The §VI-A configuration, with ``overrides`` applied."""
     params = dict(
         manager=manager,
         workload=workload,

@@ -1,4 +1,4 @@
-"""Network rate-engine scaling microbenchmark (the ``perf`` CLI command).
+"""Network rate-engine scaling microbenchmark behind ``bench_network_scale.py``.
 
 Measures the per-event cost of rate reallocation under flow churn at
 increasing concurrent-flow counts, for both allocators:
@@ -15,8 +15,8 @@ exactly the structure the incremental engine exploits.  Every run finishes
 with an exact-equivalence check of the two allocators' final rate vectors.
 
 Results serialise to a ``BENCH_network.json`` trajectory file so successive
-PRs can diff perf; ``benchmarks/bench_network_scale.py --smoke`` gates CI on
-a conservative floor.
+changes can diff perf; ``benchmarks/bench_network_scale.py --smoke`` gates
+CI on a conservative floor.
 """
 
 from __future__ import annotations

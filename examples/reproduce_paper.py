@@ -2,15 +2,13 @@
 """Regenerate every figure of the paper's evaluation in one run.
 
 Prints the Fig. 7/8/9/10 series, the abstract's headline numbers, and the
-three worked micro-examples (Fig. 1, 3, 4/5).  Pass ``--full`` for the
-paper's 30-jobs-per-app scale (slower); the default uses 8 jobs per app.
+three worked micro-examples (Fig. 1, 3, 4/5), at the paper's §VI-A scale
+(4 applications x 30 jobs each).
 
 Usage::
 
-    python examples/reproduce_paper.py [--full]
+    python examples/reproduce_paper.py
 """
-
-import sys
 
 from repro.experiments.figures import (
     figure7_locality,
@@ -28,10 +26,8 @@ from repro.metrics.report import format_table
 
 
 def main() -> None:
-    full = "--full" in sys.argv
-    jobs = 30 if full else 8
-    scale = dict(jobs_per_app=jobs, num_apps=4, seed=0)
-    print(f"Scale: 4 apps x {jobs} jobs{' (paper scale)' if full else ''}\n")
+    scale = dict(jobs_per_app=30, num_apps=4, seed=0)
+    print("Scale: 4 apps x 30 jobs (paper scale)\n")
 
     # ------------------------------------------------------- micro-examples
     fig1 = fig1_motivating_example()

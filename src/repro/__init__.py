@@ -19,8 +19,9 @@ Quick start::
 Subpackages
 -----------
 ``repro.core``
-    The paper's contribution: Algorithms 1 & 2, the flow-network theory,
-    matching solvers, fairness predicates.
+    The paper's contribution: Algorithms 1 & 2 and fairness predicates; the
+    flow-network theory and matching solvers sit beside them, imported by
+    full path only, so a run never loads scipy or networkx.
 ``repro.managers``
     Cluster managers: Custody plus the Standalone / YARN / Mesos baselines.
 ``repro.simulation`` / ``repro.cluster`` / ``repro.network`` / ``repro.hdfs``
@@ -30,7 +31,8 @@ Subpackages
     PageRank / WordCount / Sort generators, submission traces, delay
     scheduling, the application driver.
 ``repro.metrics`` / ``repro.experiments``
-    Figure metrics and the end-to-end experiment harness.
+    Figure metrics and the end-to-end experiment harness (import
+    submodules directly; the package re-exports nothing).
 """
 
 from repro.experiments.config import ExperimentConfig

@@ -1,4 +1,4 @@
-"""Cyclic-GC hygiene for long-lived simulator worlds.
+"""Cyclic-GC hygiene for benchmark timed sections.
 
 Profiling the 32-tenant allocation benchmark (BENCH_alloc.json) showed the
 incremental engine's ~89 ms p99 — against a ~5 ms p50 — was not an
@@ -9,26 +9,17 @@ round a collection lands in eats the pause.  The :class:`PerfCounters
 <repro.metrics.collector.PerfCounters>` ``alloc_gc_collections`` breakdown
 field confirms the correlation.
 
-Two complementary mitigations:
-
-* the incremental allocation engine allocates almost nothing per round
-  (lazy ``_AppRound`` job state), so rounds stop *triggering* collections;
-  and
-* :func:`freeze_world` moves the long-lived world into the permanently
-  frozen generation after setup — the standard long-running-service
-  technique (``gc.freeze``) — so the collections that still fire no longer
-  traverse the static object graph.
-
-Freezing is opt-in and bench/CLI-level: it never changes simulation
-behaviour, only pause times.
-
-For benchmark *timed sections* there is a third, stricter tool:
-:func:`quiesced_gc` additionally pauses automatic collections for the
-duration (the pyperf/timeit methodology).  The allocation bench drives
-twin worlds in lockstep, so the reference engine's per-round rebuild
-garbage would otherwise trigger collections inside the *incremental*
-engine's timed rounds — a harness artifact, not allocator cost.  The
-deferred work is done explicitly on exit, outside any timer.
+The incremental allocation engine allocates almost nothing per round
+(lazy ``_AppRound`` job state), so rounds stop *triggering* collections.
+For the collections a benchmark harness would still trigger,
+:func:`quiesced_gc` freezes the live graph (``gc.freeze``) and pauses
+automatic collections for the duration of a timed section (the
+pyperf/timeit methodology).  The allocation bench drives twin worlds in
+lockstep, so the reference engine's per-round rebuild garbage would
+otherwise trigger collections inside the *incremental* engine's timed
+rounds — a harness artifact, not allocator cost.  The deferred work is
+done explicitly on exit, outside any timer.  Simulation runs never call
+it: it changes pause times only, never behaviour.
 """
 
 from __future__ import annotations
@@ -37,39 +28,7 @@ import gc
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = ["freeze_world", "frozen_world", "quiesced_gc"]
-
-
-def freeze_world() -> int:
-    """Collect garbage, then freeze every surviving object.
-
-    Call once the long-lived state (cluster, HDFS blocks, workload) is
-    fully built.  Returns the number of objects frozen.  Safe to call on
-    interpreters without ``gc.freeze`` (a no-op returning 0).
-    """
-    gc.collect()
-    if not hasattr(gc, "freeze"):  # pragma: no cover - py3.6 and older
-        return 0
-    before = gc.get_freeze_count()
-    gc.freeze()
-    return gc.get_freeze_count() - before
-
-
-@contextmanager
-def frozen_world() -> Iterator[None]:
-    """Context manager: freeze on entry, unfreeze on exit.
-
-    Unfreezing returns the objects to the oldest generation so a later
-    full collection can still reclaim them — use this around each
-    benchmark size so one size's world does not stay frozen into the
-    next.
-    """
-    freeze_world()
-    try:
-        yield
-    finally:
-        if hasattr(gc, "unfreeze"):
-            gc.unfreeze()
+__all__ = ["quiesced_gc"]
 
 
 @contextmanager
@@ -83,13 +42,13 @@ def quiesced_gc() -> Iterator[None]:
     unfreezes on exit.
     """
     was_enabled = gc.isenabled()
-    freeze_world()
+    gc.collect()
+    gc.freeze()
     gc.disable()
     try:
         yield
     finally:
         if was_enabled:
             gc.enable()
-        if hasattr(gc, "unfreeze"):
-            gc.unfreeze()
+        gc.unfreeze()
         gc.collect()

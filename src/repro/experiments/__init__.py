@@ -5,55 +5,17 @@
 * :mod:`repro.experiments.runner` — build cluster + HDFS + workload +
   manager from a config, replay the common submission trace, return
   :class:`ExperimentResult`.
+* :mod:`repro.experiments.persistence` — JSON save/load of results and
+  timelines.
 * :mod:`repro.experiments.figures` — one function per paper figure
   (Fig. 7–10), producing the rows the benchmarks print.
 * :mod:`repro.experiments.scenarios` — the paper's worked micro-examples
   (Fig. 1, 3, 4/5) as runnable scenarios with exact expected numbers.
+* :mod:`repro.experiments.sweeps` / :mod:`repro.experiments.parallel` —
+  config-grid sweeps and their process-pool fan-out.
+* :mod:`repro.experiments.allocbench` — the allocation control-plane
+  benchmark harness (and the golden plan stream its fixture pins).
+
+The package re-exports nothing: importing a submodule loads only what that
+submodule needs, so a run never pays for the figure or bench drivers.
 """
-
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.experiments.figures import (
-    figure7_locality,
-    figure8_jct,
-    figure9_input_stage,
-    figure10_scheduler_delay,
-    headline_numbers,
-    run_policy_comparison,
-)
-from repro.experiments.persistence import (
-    export_timeline,
-    load_result,
-    load_timeline_records,
-    result_to_dict,
-    save_result,
-)
-from repro.experiments.scenarios import (
-    fig1_motivating_example,
-    fig3_interapp_example,
-    fig45_intraapp_example,
-)
-from repro.experiments.sweeps import DEFAULT_EXTRACTORS, rows_to_csv, sweep
-
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "export_timeline",
-    "load_result",
-    "load_timeline_records",
-    "DEFAULT_EXTRACTORS",
-    "result_to_dict",
-    "rows_to_csv",
-    "save_result",
-    "sweep",
-    "fig1_motivating_example",
-    "fig3_interapp_example",
-    "fig45_intraapp_example",
-    "figure10_scheduler_delay",
-    "figure7_locality",
-    "figure8_jct",
-    "figure9_input_stage",
-    "headline_numbers",
-    "run_experiment",
-    "run_policy_comparison",
-]

@@ -1,13 +1,13 @@
 """Parallel experiment fan-out: shard a sweep across worker processes.
 
 Every multi-cell driver in this package — the chaos sweep, the validation
-suite, the rate-engine scaling bench, the config-grid sweep — is a loop of
-*independent* cells: each cell's result is a pure function of its own
-``(seed, parameters)`` and never reads another cell's state.  This module
-exploits that: it cuts the loop into :class:`Shard`\\ s keyed by the cell's
-position in the serial iteration order, runs them on a process pool, and
-merges the results **by shard key**, so the merged artifact is the one the
-serial loop would have produced no matter which worker finished first.
+suite, the config-grid sweep — is a loop of *independent* cells: each
+cell's result is a pure function of its own ``(seed, parameters)`` and
+never reads another cell's state.  This module exploits that: it cuts
+the loop into :class:`Shard`\\ s keyed by the cell's position in the serial
+iteration order, runs them on a process pool, and merges the results **by
+shard key**, so the merged artifact is the one the serial loop would have
+produced no matter which worker finished first.
 
 Determinism contract
 --------------------
@@ -53,7 +53,6 @@ __all__ = [
     "ParallelChaosSweep",
     "run_chaos_sweep",
     "run_validation_suite",
-    "run_perf_points",
     "run_grid",
 ]
 
@@ -309,50 +308,6 @@ def run_validation_suite(
             progress(name)
     payloads = run_sharded(_validate_cell_worker, shards, jobs)
     return SuiteReport(results=[ScenarioResult.from_dict(d) for d in payloads])
-
-
-# ----------------------------------------------------------- perf trajectory
-def _perf_point_worker(payload: Dict[str, Any]):
-    """Benchmark one flow-count point of the rate-engine trajectory."""
-    from repro.experiments.netbench import run_scale_bench
-
-    (point,) = run_scale_bench(
-        [payload["flows"]],
-        events=payload["events"],
-        seed=payload["seed"],
-        pod_size=payload["pod_size"],
-    )
-    return point
-
-
-def run_perf_points(
-    flow_counts: Sequence[int],
-    *,
-    events: int = 30,
-    seed: int = 0,
-    pod_size: Optional[int] = 16,
-    jobs: int = 1,
-) -> List[Any]:
-    """The rate-engine scaling bench, sharded one worker per flow count.
-
-    Each point's workload is re-derived from ``(flows, events, seed)``
-    inside its worker, so the rates each point checks are identical to the
-    serial bench; only the wall-time fields are machine-load-dependent
-    (as they are serially).
-    """
-    shards = [
-        Shard(
-            key=(index,),
-            payload={
-                "flows": flows,
-                "events": events,
-                "seed": seed,
-                "pod_size": pod_size,
-            },
-        )
-        for index, flows in enumerate(flow_counts)
-    ]
-    return run_sharded(_perf_point_worker, shards, jobs)
 
 
 # -------------------------------------------------------------- config grid

@@ -10,10 +10,9 @@ A process is a Python generator that ``yield``s *waitables*:
 
 Example::
 
-    def worker(sim, inbox):
-        while True:
-            item = yield inbox.get()          # Store.get() returns a Signal
-            yield Timeout(item.service_time)
+    def worker(sim, go):
+        item = yield go                   # resumes once go.trigger(item) runs
+        yield Timeout(item.service_time)
 
 Processes may be interrupted (:meth:`Process.interrupt`), which raises
 :class:`Interrupt` inside the generator at its current yield point — used to

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -124,6 +125,12 @@ class ExperimentConfig:
             raise ConfigurationError("num_apps and jobs_per_app must be >= 1")
         if self.replication < 1:
             raise ConfigurationError(f"replication must be >= 1, got {self.replication}")
+        for name in ("uplink", "downlink"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         if self.cache_per_node < 0:
             raise ConfigurationError(
                 f"cache_per_node must be >= 0, got {self.cache_per_node}"

@@ -354,8 +354,15 @@ class AdaptiveFailureDetector(FailureDetector):
                 self._m_verdict_fn.inc()
 
     # ----------------------------------------------------- emission-clock math
+    # A query builds the node's slow segments once (``_segments``) and
+    # threads them through the clock conversions and the heartbeat walk.
     def _segments(self, node_id: str) -> List[Tuple[float, float, float]]:
-        """Closed + open slow segments of the node, clipped to ``now``."""
+        """Closed + open slow segments of the node, clipped to ``now``.
+
+        Time-ordered by construction: segments close at the current time,
+        which never decreases, and the open one starts where the last
+        closed one ended or later.
+        """
         segments = list(self._slow_closed.get(node_id, ()))
         open_ = self._slow_open.get(node_id)
         if open_ is not None:
@@ -364,23 +371,25 @@ class AdaptiveFailureDetector(FailureDetector):
                 segments.append((start, self.sim.now, max(factors)))
         return segments
 
-    def _virtual(self, node_id: str, t: float) -> float:
+    @staticmethod
+    def _virtual(segments: List[Tuple[float, float, float]], t: float) -> float:
         """Real time → emission-clock time (slow segments tick slower)."""
         v = t
-        for start, end, factor in self._segments(node_id):
+        for start, end, factor in segments:
             lo = min(start, t)
             hi = min(end, t)
             if hi > lo:
                 v -= (hi - lo) * (1.0 - 1.0 / factor)
         return v
 
-    def _real(self, node_id: str, v_target: float) -> float:
+    @staticmethod
+    def _real(segments: List[Tuple[float, float, float]], v_target: float) -> float:
         """Emission-clock time → real time (inverse of :meth:`_virtual`)."""
         if v_target <= 0.0:
             return v_target
         t = 0.0
         v = 0.0
-        for start, end, factor in sorted(self._segments(node_id)):
+        for start, end, factor in segments:
             if v_target <= v + (start - t):
                 return t + (v_target - v)
             v += start - t
@@ -392,25 +401,31 @@ class AdaptiveFailureDetector(FailureDetector):
             t = end
         return t + (v_target - v)
 
-    def _emission_index(self, node_id: str, t: float) -> int:
+    def _emission_index(self, segments: List[Tuple[float, float, float]], t: float) -> int:
         """Index of the last heartbeat emitted at or before real time ``t``."""
-        return int(math.floor(self._virtual(node_id, t) / self.interval + 1e-9))
+        return int(math.floor(self._virtual(segments, t) / self.interval + 1e-9))
 
     def last_heartbeat(self, node_id: str) -> float:
         """Most recent emission that fell outside every outage interval."""
+        return self._last_heartbeat(node_id, self._segments(node_id))
+
+    def _last_heartbeat(
+        self, node_id: str, segments: List[Tuple[float, float, float]]
+    ) -> float:
+        """The heartbeat walk behind :meth:`last_heartbeat`."""
         now = self.sim.now
         hist = self._history.get(node_id)
-        k = self._emission_index(node_id, now)
+        k = self._emission_index(segments, now)
         while k > 0:
-            emitted = self._real(node_id, k * self.interval)
+            emitted = self._real(segments, k * self.interval)
             covering = hist.covering_interval(emitted, now) if hist else None
             if covering is None:
                 return emitted
             start = covering[0]
             if start <= 0:
                 return 0.0
-            kk = self._emission_index(node_id, start)
-            if self._real(node_id, kk * self.interval) >= start:
+            kk = self._emission_index(segments, start)
+            if self._real(segments, kk * self.interval) >= start:
                 kk -= 1
             k = kk
         return 0.0
@@ -422,37 +437,45 @@ class AdaptiveFailureDetector(FailureDetector):
         floored at the nominal interval so an idle history cannot make the
         detector hair-triggered.
         """
-        last = self.last_heartbeat(node_id)
-        k = self._emission_index(node_id, last)
+        segments = self._segments(node_id)
+        return self._mean_gap(segments, self._last_heartbeat(node_id, segments))
+
+    def _mean_gap(self, segments: List[Tuple[float, float, float]], last: float) -> float:
+        k = self._emission_index(segments, last)
         n = min(self.window, k)
         if n < 1:
             return self.interval
-        first = self._real(node_id, (k - n) * self.interval)
+        first = self._real(segments, (k - n) * self.interval)
         return max(self.interval, (last - first) / n)
 
     def phi(self, node_id: str) -> float:
         """Suspicion score: elapsed silence in units of the adaptive gap."""
-        elapsed = self.sim.now - self.last_heartbeat(node_id)
+        segments = self._segments(node_id)
+        return self._phi(segments, self._last_heartbeat(node_id, segments))
+
+    def _phi(self, segments: List[Tuple[float, float, float]], last: float) -> float:
+        elapsed = self.sim.now - last
         if elapsed <= 0.0:
             return 0.0
-        return elapsed / self.mean_gap(node_id)
+        return elapsed / self._mean_gap(segments, last)
 
     # ------------------------------------------------------------ master side
     def state(self, node_id: str) -> str:
         """The master's belief: "alive", "suspected" or "dead"."""
-        last = self.last_heartbeat(node_id)
+        segments = self._segments(node_id)
+        last = self._last_heartbeat(node_id, segments)
         reported = self._reported.get(node_id)
         if reported is not None and last <= reported:
             state = "dead"
         else:
-            score = self.phi(node_id)
+            score = self._phi(segments, last)
             if score >= self.dead_after:
                 state = "dead"
             elif score >= self.suspect_after:
                 state = "suspected"
             else:
                 state = "alive"
-        self._observe(node_id, state)
+        self._observe(node_id, state, segments, last)
         return state
 
     def is_alive(self, node_id: str) -> bool:
@@ -461,7 +484,13 @@ class AdaptiveFailureDetector(FailureDetector):
     def is_suspected(self, node_id: str) -> bool:
         return self.state(node_id) == "suspected"
 
-    def _observe(self, node_id: str, state: str) -> None:
+    def _observe(
+        self,
+        node_id: str,
+        state: str,
+        segments: List[Tuple[float, float, float]],
+        last: float,
+    ) -> None:
         """Record belief transitions and score them against ground truth."""
         prev = self._last_state.get(node_id, "alive")
         if state == prev:
@@ -486,7 +515,7 @@ class AdaptiveFailureDetector(FailureDetector):
                         "node": node_id,
                         "state": state,
                         "prev": prev,
-                        "phi": round(self.phi(node_id), 3),
+                        "phi": round(self._phi(segments, last), 3),
                     },
                 )
             )

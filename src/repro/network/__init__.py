@@ -13,9 +13,9 @@ flow granularity:
   events are rescheduled from the bytes still outstanding;
 * all flow changes of one simulated instant batch into a single recompute,
   and the default :class:`~repro.network.rate_engine.RateEngine` re-rates
-  only the affected connected component of the link-flow graph
-  (``maxmin_rates`` remains the from-scratch reference implementation,
-  which tests reach through ``NetworkFabric(engine="reference")``).
+  only the affected connected component of the link-flow graph.  Both it
+  and the test-only ``NetworkFabric(engine="reference")``, which re-solves
+  every flow, call the one progressive-filling kernel, ``maxmin_rates``.
 
 This is the standard fluid approximation used by flow-level datacenter
 simulators; it captures contention and elasticity without per-packet cost.

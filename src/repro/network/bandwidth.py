@@ -9,22 +9,27 @@ virtual network and modern full-bisection datacenter fabrics).
 
 Algorithm (progressive filling): repeatedly find the most-congested link
 (the one whose remaining capacity divided by its unfrozen flow count is
-smallest), freeze all its unfrozen flows at that fair share, subtract what
-they consume everywhere, and repeat.  Runs in O(L^2) for L links, with the
-inner accounting vectorised over flows — fast enough for the few thousand
-concurrent flows these experiments produce.
+smallest, lowest link index first on ties), freeze all its unfrozen flows at
+that fair share, subtract what they consume from their other links, and
+repeat.  The kernel keeps per-link live counts and remaining capacity and
+updates them only for the links of the flows each bottleneck freezes; the
+bottleneck comes off a lazy min-heap keyed ``(share, link index)``.  Every
+flow is frozen once and touches two links, so a solve costs O(F log L) for
+F flows over L links, even when the whole flow set is one component (an
+all-to-all shuffle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from repro.common.errors import ConfigurationError
 
 __all__ = ["LinkCapacities", "maxmin_rates"]
+
+_INF = float("inf")
 
 
 @dataclass
@@ -35,10 +40,10 @@ class LinkCapacities:
     downlink: Dict[str, float] = field(default_factory=dict)
 
     def add_node(self, node_id: str, uplink: float, downlink: float) -> None:
-        """Register a node's NIC capacities."""
-        if uplink <= 0 or downlink <= 0:
+        """Register a node's NIC capacities (positive and finite)."""
+        if not (0 < uplink < _INF and 0 < downlink < _INF):
             raise ConfigurationError(
-                f"node {node_id!r}: NIC capacities must be positive "
+                f"node {node_id!r}: NIC capacities must be positive and finite "
                 f"(got up={uplink}, down={downlink})"
             )
         self.uplink[node_id] = float(uplink)
@@ -62,74 +67,96 @@ def maxmin_rates(
     never modelled this way — callers treat those as local reads) and get an
     effectively infinite rate; they are included for interface uniformity.
 
+    The float64 rates are bit-identical to the vectorised formulation of the
+    same algorithm (``tests/numpy_maxmin.py``): links are numbered in
+    first-appearance order, ties go to the lowest link index, and a freeze
+    subtracts ``share`` added up once per frozen flow, clamped at zero.
+
     Raises :class:`ConfigurationError` if a flow references an unregistered
     node.
     """
     n = len(flows)
     if n == 0:
         return []
+    uplink = capacities.uplink
+    downlink = capacities.downlink
 
-    # Build the link incidence: link index -> capacity; flow -> (up_link, down_link).
-    link_index: Dict[Tuple[str, str], int] = {}
-    link_caps: List[float] = []
-
-    def _link(kind: str, node: str) -> int:
-        key = (kind, node)
-        idx = link_index.get(key)
-        if idx is None:
-            caps = capacities.uplink if kind == "up" else capacities.downlink
-            if node not in caps:
-                raise ConfigurationError(f"flow references unregistered node {node!r}")
-            idx = len(link_caps)
-            link_index[key] = idx
-            link_caps.append(caps[node])
-        return idx
-
-    flow_links = np.empty((n, 2), dtype=np.int64)
-    loopback = np.zeros(n, dtype=bool)
+    # Link incidence in one pass.  Up- and downlinks share one index space,
+    # numbered in first-appearance order (a loopback still claims its
+    # source's uplink index).
+    up_index: Dict[str, int] = {}
+    down_index: Dict[str, int] = {}
+    remaining: List[float] = []
+    members: List[List[int]] = []  # link -> its non-loopback flows
+    flow_up = [0] * n
+    flow_down = [0] * n
+    rates = [0.0] * n
     for i, (src, dst) in enumerate(flows):
+        up = up_index.get(src)
+        if up is None:
+            if src not in uplink:
+                raise ConfigurationError(f"flow references unregistered node {src!r}")
+            up = up_index[src] = len(remaining)
+            remaining.append(float(uplink[src]))
+            members.append([])
         if src == dst:
-            loopback[i] = True
-            # Still validate the node exists; assign both to its uplink so the
-            # arrays stay rectangular, but the flow is frozen immediately below.
-            idx = _link("up", src)
-            flow_links[i, 0] = idx
-            flow_links[i, 1] = idx
-        else:
-            flow_links[i, 0] = _link("up", src)
-            flow_links[i, 1] = _link("down", dst)
+            rates[i] = _INF
+            continue
+        down = down_index.get(dst)
+        if down is None:
+            if dst not in downlink:
+                raise ConfigurationError(f"flow references unregistered node {dst!r}")
+            down = down_index[dst] = len(remaining)
+            remaining.append(float(downlink[dst]))
+            members.append([])
+        flow_up[i] = up
+        flow_down[i] = down
+        members[up].append(i)
+        members[down].append(i)
 
-    caps = np.asarray(link_caps, dtype=np.float64)
-    rates = np.zeros(n, dtype=np.float64)
-    frozen = loopback.copy()
-    rates[loopback] = np.inf
-
-    remaining = caps.copy()
-    while not frozen.all():
-        active = ~frozen
-        # Flows per link among the active set (each non-loopback flow touches
-        # its up and down link once; a flow may touch the same link twice only
-        # in the loopback case, already frozen).
-        counts = np.bincount(flow_links[active].ravel(), minlength=len(caps)).astype(
-            np.float64
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shares = np.where(counts > 0, remaining / counts, np.inf)
-        bottleneck = int(np.argmin(shares))
-        share = shares[bottleneck]
-        if not np.isfinite(share):
-            break  # no active flow touches any link (cannot happen in practice)
-        # Freeze every active flow crossing the bottleneck at `share`.
-        crosses = active & (
-            (flow_links[:, 0] == bottleneck) | (flow_links[:, 1] == bottleneck)
-        )
-        rates[crosses] = share
-        frozen |= crosses
-        # Subtract their consumption from both links they traverse.
-        consumed = np.zeros_like(remaining)
-        np.add.at(consumed, flow_links[crosses, 0], share)
-        np.add.at(consumed, flow_links[crosses, 1], share)
-        # Loopback-frozen rows never reach here; double-count is impossible.
-        remaining = np.maximum(remaining - consumed, 0.0)
-
-    return rates.tolist()
+    counts = [len(m) for m in members]
+    shares = [r / c if c else _INF for r, c in zip(remaining, counts)]
+    # One current entry per loaded link; an entry whose share no longer
+    # matches ``shares`` (an emptied link's share is inf) is stale.
+    heap = [(s, link) for link, s in enumerate(shares) if counts[link]]
+    heapify(heap)
+    frozen = [False] * n
+    unfrozen = sum(counts) // 2
+    while unfrozen:
+        share, b = heappop(heap)
+        if not share < _INF:
+            break  # only infinite links are left loaded: their flows stay 0.0
+        if share != shares[b]:
+            continue
+        # Freeze every live flow crossing the bottleneck at `share`, and
+        # count how many of them cross each of their other links.
+        touched: Dict[int, int] = {}
+        for i in members[b]:
+            if frozen[i]:
+                continue
+            frozen[i] = True
+            rates[i] = share
+            other = flow_up[i]
+            if other == b:
+                other = flow_down[i]
+            touched[other] = touched.get(other, 0) + 1
+        unfrozen -= counts[b]
+        counts[b] = 0
+        shares[b] = _INF
+        for link, m in touched.items():
+            consumed = 0.0
+            for _ in range(m):
+                consumed += share
+            left = remaining[link] - consumed
+            if left < 0.0:
+                left = 0.0
+            remaining[link] = left
+            count = counts[link] - m
+            counts[link] = count
+            if count:
+                s = left / count
+                shares[link] = s
+                heappush(heap, (s, link))
+            else:
+                shares[link] = _INF
+    return rates

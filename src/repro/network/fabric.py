@@ -12,11 +12,11 @@ The flush itself runs one of two allocators:
 * ``engine="incremental"`` (default): a persistent
   :class:`~repro.network.rate_engine.RateEngine` re-rates only the connected
   component(s) of the link-flow graph affected by the batch;
-* ``engine="reference"``: the original recompute-from-scratch
-  :func:`~repro.network.bandwidth.maxmin_rates` path, kept as the
-  behaviourally identical oracle for golden-trace and equivalence tests
-  (reached only by constructing the fabric directly; runs always use the
-  default).
+* ``engine="reference"``: the original recompute-from-scratch path, one
+  :func:`~repro.network.bandwidth.maxmin_rates` call over every flow, kept
+  as the behaviourally identical oracle for golden-trace and equivalence
+  tests (reached only by constructing the fabric directly; runs always use
+  the default).  Both allocators call that one kernel.
 
 Either way the fabric then applies only the rates that actually changed and
 tracks completions in a lazy min-heap of absolute finish times, so an event
@@ -187,8 +187,10 @@ class NetworkFabric:
         """
         if node_id not in self._base_uplink:
             raise ConfigurationError(f"unknown node {node_id!r}")
-        if scale <= 0:
-            raise ConfigurationError(f"link scale must be positive, got {scale}")
+        if not 0 < scale < math.inf:
+            raise ConfigurationError(
+                f"link scale must be positive and finite, got {scale}"
+            )
         self.capacities.uplink[node_id] = self._base_uplink[node_id] * scale
         self.capacities.downlink[node_id] = self._base_downlink[node_id] * scale
         if self._engine is not None:

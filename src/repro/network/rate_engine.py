@@ -1,10 +1,11 @@
 """Incremental max-min fair rate allocation.
 
-:func:`repro.network.bandwidth.maxmin_rates` recomputes every flow's rate
-from scratch on each call — O(links²) work per flow arrival/departure, the
-dominant cost of large simulations.  :class:`RateEngine` maintains the
-link/flow incidence *across* events and exploits two structural facts of
-progressive filling:
+:func:`repro.network.bandwidth.maxmin_rates` solves a flow set from
+scratch in O(F log L) for F flows over L links.  Re-solving every live flow
+on each arrival/departure would still make a large simulation pay for all
+of its flows per event.  :class:`RateEngine` maintains the link/flow
+incidence *across* events and exploits two structural facts of progressive
+filling:
 
 1. **Component locality.**  The link-flow graph decomposes into connected
    components that share no links, and the max-min allocation of one
@@ -23,6 +24,10 @@ rates are exactly what a full recompute would re-derive for it (the kernel's
 arithmetic never crosses component boundaries).  The hypothesis property
 suite (``tests/property/test_rate_engine_equivalence.py``) checks this after
 random operation sequences.
+
+Component tracking cannot help when the whole flow set is one component
+(all-to-all shuffle traffic): each recompute then re-solves every flow, and
+the kernel's O(F log L) is the whole cost.
 """
 
 from __future__ import annotations

@@ -30,6 +30,11 @@ def test_paper_defaults():
         {"num_apps": 0},
         {"jobs_per_app": 0},
         {"replication": 0},
+        {"uplink": 0.0},
+        {"downlink": -1.0},
+        {"uplink": float("inf")},
+        {"downlink": float("inf")},
+        {"uplink": float("nan")},
     ],
 )
 def test_invalid_configs(kwargs):
@@ -62,3 +67,13 @@ def test_frozen():
     c = ExperimentConfig()
     with pytest.raises(Exception):
         c.manager = "other"
+
+
+def test_infinite_nics_rejected_before_the_run():
+    # Infinite NICs used to build a world whose every transfer was rated
+    # 0.0: the run returned with all jobs unfinished and no error.
+    with pytest.raises(ConfigurationError, match="uplink must be positive and finite"):
+        ExperimentConfig(
+            seed=1, num_nodes=10, num_apps=2, jobs_per_app=2, workload="sort",
+            uplink=float("inf"), downlink=float("inf"),
+        )

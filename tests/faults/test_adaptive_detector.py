@@ -176,3 +176,35 @@ class TestBaseDetectorHooks:
         assert detector.is_alive("worker-000")
         assert not detector.is_suspected("worker-000")
         detector.end_slow("worker-000", 4.0)
+
+
+class TestQueryCost:
+    """One belief query walks the heartbeat history once."""
+
+    def test_state_walks_history_once(self):
+        from unittest import mock
+
+        from repro.obs.sinks import RingSink
+        from repro.obs.tracer import Tracer
+
+        sim = Simulation()
+        # An enabled tracer makes each transition also report phi.
+        tracer = Tracer(clock=lambda: sim.now, sinks=[RingSink()])
+        detector = AdaptiveFailureDetector(sim, interval=3.0, tracer=tracer)
+        sim.run(until=10.0)
+        detector.begin_outage("worker-001")
+        sim.run(until=30.0)
+        detector.begin_slow("worker-000", 4.0)
+        sim.run(until=40.0)
+        walk = mock.patch.object(
+            detector, "_last_heartbeat", wraps=detector._last_heartbeat
+        )
+        segments = mock.patch.object(detector, "_segments", wraps=detector._segments)
+        with walk as walks, segments as builds:
+            states = [
+                detector.state(node) for node in ("worker-000", "worker-001", "worker-002")
+            ]
+        assert states == ["suspected", "dead", "alive"]
+        assert len(tracer.events()) == 2  # both transitions traced phi
+        assert walks.call_count == 3
+        assert builds.call_count == 3

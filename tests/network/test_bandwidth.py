@@ -25,6 +25,16 @@ class TestLinkCapacities:
         with pytest.raises(ConfigurationError):
             caps(a=(10, -1))
 
+    @pytest.mark.parametrize(
+        "up, down",
+        [(float("inf"), 10), (10, float("inf")), (float("nan"), 10), (10, float("nan"))],
+    )
+    def test_rejects_non_finite(self, up, down):
+        # The allocator rates a flow whose links are both infinite at 0.0,
+        # which would strand every transfer on the node silently.
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            caps(a=(up, down))
+
     def test_contains_requires_both_directions(self):
         # A node is registered only when *both* its uplink and downlink
         # exist; a half-registered node must not claim membership.

@@ -44,6 +44,16 @@ def test_local_transfer_rejected(sim):
         fabric.start_transfer("a", "a", size=1.0)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
+def test_link_scale_must_be_positive_and_finite(sim, scale):
+    # An infinite or NaN capacity would leave the allocator no finite
+    # bottleneck: every flow on the node would be rated 0 and never finish.
+    fabric = make_fabric(sim, "a", "b")
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        fabric.set_link_scale("a", scale)
+    assert fabric.capacities.uplink["a"] == 10.0
+
+
 def test_two_flows_share_uplink_fairly(sim):
     fabric = make_fabric(sim, "a", "b", "c", up=10.0, down=100.0)
     t1 = fabric.start_transfer("a", "b", size=50.0)

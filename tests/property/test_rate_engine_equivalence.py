@@ -4,7 +4,9 @@ For *any* interleaving of flow arrivals, departures, and recomputes —
 including loopback flows and single-flow instances — the engine's rate
 vector must match ``maxmin_rates`` run from scratch on the surviving
 flows, within 1e-9.  (In practice the match is exact: the engine runs the
-same kernel on each dirty component with insertion-ordered flows.)
+same kernel on each dirty component with insertion-ordered flows.)  The
+kernel itself is pinned bit for bit against the NumPy oracle in
+``tests/numpy_maxmin.py`` by ``test_maxmin_kernel_equivalence.py``.
 """
 
 import math

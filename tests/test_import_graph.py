@@ -10,6 +10,7 @@ The check runs in a fresh interpreter: ``test_api_quality`` imports every
 nothing about what a run needs.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -80,3 +81,19 @@ def test_runs_load_no_theory_or_bench_code():
     ]
     roots = sorted({m if m.startswith("repro.") else m.split(".")[0] for m in offenders})
     assert not offenders, f"runtime import graph pulls in {roots}"
+
+
+def test_network_package_imports_no_numpy():
+    """The network layer is pure Python: its max-min kernel has no NumPy
+    twin in ``src/`` (the NumPy loop is the test oracle ``tests/numpy_maxmin.py``)."""
+    offenders = []
+    for path in sorted((SRC / "repro" / "network").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "numpy"]
+    assert not offenders, offenders

@@ -201,12 +201,9 @@ def _make_sampler(
         return float(sum(d.runnable_count for d in drivers.values()))
 
     def local_job_fraction() -> float:
-        decided = locals_ = 0
-        for driver in drivers.values():
-            for job in driver.app.jobs:
-                if job.is_local_job is not None:
-                    decided += 1
-                    locals_ += bool(job.is_local_job)
+        # The apps' live locality counters equal a rescan of is_local_job.
+        decided = sum(d.app.decided_job_count for d in drivers.values())
+        locals_ = sum(d.app.local_job_count for d in drivers.values())
         return locals_ / decided if decided else 0.0
 
     sampler.add_series("executors.busy_fraction", busy_fraction, cat=DRIVER)

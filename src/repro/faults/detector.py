@@ -14,6 +14,12 @@ those intervals — "which was the last heartbeat tick that fell outside an
 outage?".  A periodic heartbeat event would keep the event queue non-empty
 forever and break the runner's run-to-quiescence loop; the lazy form is
 exactly equivalent and costs O(#outage intervals) per query.
+
+A verdict is a pure function of the clock and the reported history, so
+it is judged once per node per instant: repeat queries at the same
+``sim.now`` with no report in between (every mutator bumps a counter)
+return the stored verdict.  Allocation rounds ask about every free
+executor's node, several times over.
 """
 
 from __future__ import annotations
@@ -121,6 +127,11 @@ class FailureDetector:
         #: node id → last time a failed launch was reported against it
         self._reported: Dict[str, float] = {}
         self.reported_failures = 0
+        #: bumped by every mutator; with ``sim.now`` it keys the verdict memo
+        self._mutations = 0
+        self._memo_now = -math.inf
+        self._memo_mutations = -1
+        self._memo: Dict[str, str] = {}
 
     # ----------------------------------------------------------- injector side
     def history(self, node_id: str) -> NodeHealthHistory:
@@ -132,10 +143,12 @@ class FailureDetector:
 
     def begin_outage(self, node_id: str) -> None:
         """The node stopped heartbeating (crash or partition) — now."""
+        self._mutations += 1
         self.history(node_id).begin(self.sim.now)
 
     def end_outage(self, node_id: str) -> None:
         """The node's fault cleared; heartbeats resume from the next tick."""
+        self._mutations += 1
         self.history(node_id).end(self.sim.now)
 
     def begin_slow(self, node_id: str, factor: float) -> None:
@@ -163,6 +176,7 @@ class FailureDetector:
 
         The suspicion clears as soon as a heartbeat tick *after* the report
         succeeds (the node actually recovered)."""
+        self._mutations += 1
         self._reported[node_id] = max(self._reported.get(node_id, 0.0), self.sim.now)
         self.reported_failures += 1
         self._m_reports.inc()
@@ -199,19 +213,31 @@ class FailureDetector:
             tick = k * interval
         return 0.0
 
-    def is_alive(self, node_id: str) -> bool:
-        """The master's belief: has the node heartbeated recently enough?
-
-        False while (a) the last successful heartbeat is older than
-        ``timeout`` or (b) a failed launch was reported and no heartbeat has
-        succeeded since.
-        """
+    def _verdict(self, node_id: str) -> str:
+        """The node's belief state, judged once per node per instant."""
         now = self.sim.now
+        if now != self._memo_now or self._mutations != self._memo_mutations:
+            self._memo = {}
+            self._memo_now = now
+            self._memo_mutations = self._mutations
+        verdict = self._memo.get(node_id)
+        if verdict is None:
+            verdict = self._memo[node_id] = self._judge(node_id)
+        return verdict
+
+    def _judge(self, node_id: str) -> str:
+        """Uncached verdict: "dead" while (a) the last successful heartbeat
+        is older than ``timeout`` or (b) a failed launch was reported and no
+        heartbeat has succeeded since; "alive" otherwise."""
         last = self.last_heartbeat(node_id)
         reported = self._reported.get(node_id)
         if reported is not None and last <= reported:
-            return False
-        return (now - last) <= self.timeout
+            return "dead"
+        return "alive" if (self.sim.now - last) <= self.timeout else "dead"
+
+    def is_alive(self, node_id: str) -> bool:
+        """The master's belief: has the node heartbeated recently enough?"""
+        return self._verdict(node_id) != "dead"
 
     def suspected_dead(self, node_ids) -> List[str]:
         """Subset of ``node_ids`` the master currently believes dead."""
@@ -306,6 +332,7 @@ class AdaptiveFailureDetector(FailureDetector):
     # ---------------------------------------------------------- injector side
     def begin_slow(self, node_id: str, factor: float) -> None:
         """Open (or deepen) a slow window; effective factor is the max."""
+        self._mutations += 1
         now = self.sim.now
         open_ = self._slow_open.get(node_id)
         if open_ is None:
@@ -323,6 +350,7 @@ class AdaptiveFailureDetector(FailureDetector):
         open_ = self._slow_open.get(node_id)
         if open_ is None:
             return  # unmatched end (injector gc after a detector swap)
+        self._mutations += 1
         now = self.sim.now
         start, factors = open_
         effective = max(factors)
@@ -462,6 +490,10 @@ class AdaptiveFailureDetector(FailureDetector):
     # ------------------------------------------------------------ master side
     def state(self, node_id: str) -> str:
         """The master's belief: "alive", "suspected" or "dead"."""
+        return self._verdict(node_id)
+
+    def _judge(self, node_id: str) -> str:
+        """Phi verdict; the first query at an instant observes transitions."""
         segments = self._segments(node_id)
         last = self._last_heartbeat(node_id, segments)
         reported = self._reported.get(node_id)
@@ -478,11 +510,8 @@ class AdaptiveFailureDetector(FailureDetector):
         self._observe(node_id, state, segments, last)
         return state
 
-    def is_alive(self, node_id: str) -> bool:
-        return self.state(node_id) != "dead"
-
     def is_suspected(self, node_id: str) -> bool:
-        return self.state(node_id) == "suspected"
+        return self._verdict(node_id) == "suspected"
 
     def _observe(
         self,

@@ -34,9 +34,12 @@ Two control-plane implementations share this round structure:
   version and the free pool on the demand's *watched* replica nodes are all
   unchanged; and the O(1) locality counters the drivers maintain through
   ``Application.note_input_decided``.  The incremental path produces
-  byte-identical demands and plans — the equivalence suite asserts it — and
-  is bypassed under fault injection, where the master's stale liveness view
-  makes pool membership unobservable through :meth:`_note_pool_change`.
+  byte-identical demands and plans — the equivalence suites assert it.
+  Under fault injection only demand-cache *reuse* is off: detector
+  transitions move the believed free pool without passing
+  :meth:`_note_pool_change`, so a cached demand's candidate sets could go
+  stale invisibly.  The replica memo, the useful-nodes cache and the
+  locality counters read nothing from the pool and stay on.
 """
 
 from __future__ import annotations
@@ -159,20 +162,6 @@ class CustodyManager(ClusterManager):
         self.reallocate()
 
     # ------------------------------------------------------- incremental indexes
-    @property
-    def _incremental_enabled(self) -> bool:
-        """Caches apply only on the incremental engine without fault injection.
-
-        Under faults the believed free pool changes through detector state
-        transitions that never pass :meth:`_note_pool_change`, so cached
-        demands could go stale invisibly; the reference rebuild is the
-        correct (and rare) path there.
-        """
-        return (
-            self.alloc_engine == "incremental"
-            and self.fault_injector is None
-        )
-
     def _note_pool_change(self, executor: Executor) -> None:
         self._pool_version += 1
         self._node_version[executor.node_id] = self._pool_version
@@ -216,8 +205,8 @@ class CustodyManager(ClusterManager):
             now = time.perf_counter()
             counters.alloc_release_seconds += now - mark
             mark = now
-        if self._incremental_enabled:
-            demands, fill_limits = self._build_demands_incremental(pool)
+        if self.alloc_engine == "reference":
+            demands, fill_limits = self._build_demands_reference(pool)
         else:
             demands, fill_limits = self._build_demands(pool)
         idle = [e.executor_id for e in pool]
@@ -309,7 +298,7 @@ class CustodyManager(ClusterManager):
         NameNode metadata, so a ``(demand_epoch, NameNode.version)`` pair
         keys its validity exactly.
         """
-        if not self._incremental_enabled:
+        if self.alloc_engine == "reference":
             return self._pending_replica_nodes(driver)
         namenode = driver.hdfs.namenode
         cached = self._useful_cache.get(driver.app_id)
@@ -336,10 +325,10 @@ class CustodyManager(ClusterManager):
         return nodes
 
     # ------------------------------------------------------------------ demands
-    def _build_demands(self, pool: Optional[List[Executor]] = None) -> tuple:
-        """Construct the AppDemand list and fill limits from live state."""
+    def _build_demands_reference(self, pool: List[Executor]) -> tuple:
+        """The seed builder: per-task NameNode lookups, full history scans."""
         free_by_node: Dict[str, List[str]] = {}
-        for executor in pool if pool is not None else self.free_pool():
+        for executor in pool:
             free_by_node.setdefault(executor.node_id, []).append(executor.executor_id)
 
         demands: List[AppDemand] = []
@@ -399,8 +388,8 @@ class CustodyManager(ClusterManager):
             )
         return demands, fill_limits
 
-    def _build_demands_incremental(self, pool: List[Executor]) -> tuple:
-        """Demand construction through the per-driver cache.
+    def _build_demands(self, pool: List[Executor]) -> tuple:
+        """Demand construction through the live indexes and per-driver cache.
 
         A cached entry is reused when (a) the driver's ``demand_epoch`` is
         unchanged — covering runnable tasks, owned executors, task
@@ -411,7 +400,11 @@ class CustodyManager(ClusterManager):
         nodes of the entry's unsatisfied tasks: satisfied tasks' skip
         decisions read only owned nodes and replica sets, already covered
         by (a) + (b).  Only dirty drivers pay the rebuild.
+
+        Under fault injection condition (c) is unobservable, so every
+        demand is rebuilt and the cache is neither read, filled nor counted.
         """
+        reuse = self.fault_injector is None
         free_by_node: Dict[str, List[str]] = {}
         for executor in pool:
             free_by_node.setdefault(executor.node_id, []).append(executor.executor_id)
@@ -420,27 +413,28 @@ class CustodyManager(ClusterManager):
         fill_limits: Dict[str, int] = {}
         for driver in self._driver_order():
             namenode = driver.hdfs.namenode
-            entry = self._demand_cache.get(driver.app_id)
-            if (
-                entry is not None
-                and entry.epoch == driver.demand_epoch
-                and entry.nn_version == namenode.version
-                and all(
-                    self._node_version.get(n, 0) <= entry.pool_version
-                    for n in entry.watch_nodes
-                )
-            ):
-                self.demand_cache_hits += 1
-                self._m_cache_hit.inc()
+            if reuse:
+                entry = self._demand_cache.get(driver.app_id)
+                if (
+                    entry is not None
+                    and entry.epoch == driver.demand_epoch
+                    and entry.nn_version == namenode.version
+                    and all(
+                        self._node_version.get(n, 0) <= entry.pool_version
+                        for n in entry.watch_nodes
+                    )
+                ):
+                    self.demand_cache_hits += 1
+                    self._m_cache_hit.inc()
+                    if self.counters is not None:
+                        self.counters.demand_cache_hits += 1
+                    demands.append(entry.demand)
+                    fill_limits[driver.app_id] = entry.fill_limit
+                    continue
+                self.demand_cache_misses += 1
+                self._m_cache_miss.inc()
                 if self.counters is not None:
-                    self.counters.demand_cache_hits += 1
-                demands.append(entry.demand)
-                fill_limits[driver.app_id] = entry.fill_limit
-                continue
-            self.demand_cache_misses += 1
-            self._m_cache_miss.inc()
-            if self.counters is not None:
-                self.counters.demand_cache_misses += 1
+                    self.counters.demand_cache_misses += 1
             epoch = driver.demand_epoch
             owned_nodes = set(driver.owned_nodes())
             watch: Set[str] = set()
@@ -485,14 +479,15 @@ class CustodyManager(ClusterManager):
             fill_limit = max(0, self.needed_executors(driver) - driver.executor_count)
             demands.append(demand)
             fill_limits[driver.app_id] = fill_limit
-            self._demand_cache[driver.app_id] = _DemandEntry(
-                epoch=epoch,
-                nn_version=namenode.version,
-                pool_version=self._pool_version,
-                watch_nodes=frozenset(watch),
-                demand=demand,
-                fill_limit=fill_limit,
-            )
+            if reuse:
+                self._demand_cache[driver.app_id] = _DemandEntry(
+                    epoch=epoch,
+                    nn_version=namenode.version,
+                    pool_version=self._pool_version,
+                    watch_nodes=frozenset(watch),
+                    demand=demand,
+                    fill_limit=fill_limit,
+                )
         return demands, fill_limits
 
     def _driver_order(self):

@@ -1,10 +1,16 @@
 """AdaptiveFailureDetector: phi-accrual belief over an emission-clock model."""
 
+import random
+from unittest import mock
+
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.faults.detector import AdaptiveFailureDetector, FailureDetector
+from repro.obs.sinks import RingSink
+from repro.obs.tracer import Tracer
 from repro.simulation.engine import Simulation
+from tests.reference_stack import judge_every_query
 
 pytestmark = [pytest.mark.faults, pytest.mark.robustness]
 
@@ -208,3 +214,158 @@ class TestQueryCost:
         assert len(tracer.events()) == 2  # both transitions traced phi
         assert walks.call_count == 3
         assert builds.call_count == 3
+
+
+class MemoFreeDetector(AdaptiveFailureDetector):
+    """Judges every query afresh: the oracle for the verdict memo."""
+
+    _verdict = judge_every_query
+
+
+class MemoFreeFixedDetector(FailureDetector):
+    _verdict = judge_every_query
+
+
+class TestVerdictMemo:
+    """One verdict per node per instant, re-judged after any mutation."""
+
+    MUTATORS = {
+        "begin_outage": lambda d, n: d.begin_outage(n),
+        "end_outage": lambda d, n: d.end_outage(n),
+        "begin_slow": lambda d, n: d.begin_slow(n, 2.0),
+        "end_slow": lambda d, n: d.end_slow(n, 4.0),
+        "report_failure": lambda d, n: d.report_failure(n),
+    }
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_each_mutator_forces_a_fresh_verdict(self, mutator):
+        sim, detector = make()
+        sim.run(until=10.0)
+        detector.begin_outage("worker-000")
+        detector.begin_slow("worker-000", 4.0)
+        sim.run(until=20.0)
+        with mock.patch.object(detector, "_judge", wraps=detector._judge) as judge:
+            detector.state("worker-000")
+            detector.is_alive("worker-000")
+            detector.is_suspected("worker-000")
+            assert judge.call_count == 1  # repeat queries hit the memo
+            self.MUTATORS[mutator](detector, "worker-000")
+            detector.state("worker-000")
+            assert judge.call_count == 2
+
+    def test_report_failure_is_seen_at_the_same_instant(self):
+        sim, detector = make()
+        sim.run(until=10.0)
+        assert detector.is_alive("worker-000")
+        detector.report_failure("worker-000")
+        assert not detector.is_alive("worker-000")
+        assert detector.state("worker-000") == "dead"
+
+    def test_end_outage_on_a_tick_is_seen_at_the_same_instant(self):
+        sim, detector = make(suspect_after=3.0, dead_after=8.0)
+        sim.run(until=31.0)
+        detector.begin_outage("worker-000")
+        sim.run(until=60.0)
+        assert detector.state("worker-000") == "dead"
+        detector.end_outage("worker-000")  # the t=60 tick gets through
+        assert detector.state("worker-000") == "alive"
+
+    def test_begin_outage_on_a_tick_is_seen_at_the_same_instant(self):
+        sim, detector = make(suspect_after=3.0, dead_after=8.0)
+        sim.run(until=31.0)
+        detector.begin_outage("worker-000")
+        sim.run(until=42.0)
+        detector.end_outage("worker-000")
+        assert detector.state("worker-000") == "alive"  # tick 42 arrived
+        detector.begin_outage("worker-000")  # ... and is lost after all
+        assert detector.state("worker-000") == "suspected"  # silent since 30
+
+    def test_advancing_time_recomputes(self):
+        sim, detector = make(suspect_after=3.0, dead_after=8.0)
+        sim.run(until=31.0)
+        detector.begin_outage("worker-000")
+        with mock.patch.object(detector, "_judge", wraps=detector._judge) as judge:
+            assert detector.state("worker-000") == "alive"
+            sim.run(until=40.0)
+            assert detector.state("worker-000") == "suspected"
+            assert judge.call_count == 2
+
+    def test_fixed_window_is_alive_is_memoised(self):
+        sim = Simulation()
+        detector = FailureDetector(sim, interval=3.0, timeout=9.0)
+        sim.run(until=10.0)
+        with mock.patch.object(detector, "_judge", wraps=detector._judge) as judge:
+            assert detector.is_alive("worker-000")
+            assert detector.is_alive("worker-000")
+            detector.report_failure("worker-000")
+            assert not detector.is_alive("worker-000")
+            assert judge.call_count == 2
+
+
+def run_script(detector_cls, seed, **kwargs):
+    """Drive a detector through one random mutation/query script.
+
+    Returns every query result, the accuracy tallies and the traced
+    ``detector.suspicion`` events — everything observable from outside.
+    """
+    rng = random.Random(seed)
+    sim = Simulation()
+    tracer = Tracer(clock=lambda: sim.now, sinks=[RingSink()])
+    detector = detector_cls(sim, interval=3.0, tracer=tracer, **kwargs)
+    nodes = ["worker-000", "worker-001", "worker-002"]
+    depth = {n: 0 for n in nodes}
+    slow = {n: [] for n in nodes}
+    kinds = ["is_alive", "is_suspected"]
+    if isinstance(detector, AdaptiveFailureDetector):
+        kinds.append("state")
+    answers = []
+    for _ in range(80):
+        node = rng.choice(nodes)
+        op = rng.choice(
+            ["advance", "advance", "query", "query", "query", "outage", "slow", "report"]
+        )
+        if op == "advance":
+            sim.run(until=sim.now + rng.choice([0.0, 0.5, 1.0, 1.5, 3.0, 4.5, 7.0, 12.0]))
+        elif op == "query":
+            kind = rng.choice(kinds)
+            answers.append((sim.now, kind, node, getattr(detector, kind)(node)))
+        elif op == "outage":
+            if depth[node] and rng.random() < 0.5:
+                depth[node] -= 1
+                detector.end_outage(node)
+            else:
+                depth[node] += 1
+                detector.begin_outage(node)
+        elif op == "slow":
+            if slow[node] and rng.random() < 0.5:
+                detector.end_slow(node, slow[node].pop(rng.randrange(len(slow[node]))))
+            else:
+                factor = rng.choice([1.5, 2.0, 4.0, 9.0])
+                slow[node].append(factor)
+                detector.begin_slow(node, factor)
+        else:
+            detector.report_failure(node)
+    tallies = tuple(
+        getattr(detector, name, None)
+        for name in ("suspicions", "false_positives", "false_negatives", "true_positives")
+    )
+    events = [(e.name, e.ts, e.attrs) for e in tracer.events()]
+    return answers, tallies, events
+
+
+@pytest.mark.parametrize(
+    "memoised, oracle, kwargs",
+    [
+        (AdaptiveFailureDetector, MemoFreeDetector, {"suspect_after": 2.5}),
+        (FailureDetector, MemoFreeFixedDetector, {"timeout": 9.0}),
+    ],
+    ids=["adaptive", "fixed-window"],
+)
+def test_memo_matches_memo_free_detector_on_random_scripts(memoised, oracle, kwargs):
+    transitions = 0
+    for seed in range(300):
+        got = run_script(memoised, seed, **kwargs)
+        assert got == run_script(oracle, seed, **kwargs), f"script seed {seed}"
+        transitions += sum(1 for name, _, _ in got[2] if name == "detector.suspicion")
+    if memoised is AdaptiveFailureDetector:
+        assert transitions > 300  # the scripts do move beliefs

@@ -137,6 +137,8 @@ def test_watched_pool_change_invalidates_the_watcher(harness):
 
 
 def test_fault_injection_bypasses_the_cache(harness):
+    """Under faults demand reuse is off; the pool-free indexes stay on."""
+
     class OmniscientInjector:
         def node_reachable(self, node_id):
             return True
@@ -147,11 +149,11 @@ def test_fault_injection_bypasses_the_cache(harness):
     manager = make_manager(harness)
     d0 = harness.add_app(manager, "a-0")
     manager.fault_injector = OmniscientInjector()
-    assert manager._incremental_enabled is False
     d0.submit_job(harness.make_job("a-0", [0]))
     harness.sim.run()
     manager.reallocate()
     manager.reallocate()
+    assert manager._serving_memo  # the replica memo served the rounds
     assert manager.demand_cache_hits == 0
     assert manager.demand_cache_misses == 0
     assert not manager._demand_cache

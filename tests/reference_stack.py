@@ -7,8 +7,10 @@ constructor arguments, and the scanning task schedulers live in
 whole experiment builds them (``repro.experiments.runner`` and the
 paper-figure scenarios) so any ``run_experiment`` / figure call inside the
 block runs on ``NetworkFabric(engine="reference")``,
-``CustodyManager(alloc_engine="reference")`` and the scan schedulers
-(:func:`~tests.scan_policies.scan_dispatch`).
+``CustodyManager(alloc_engine="reference")``, the scan schedulers
+(:func:`~tests.scan_policies.scan_dispatch`) and failure detectors that
+judge every liveness query afresh (:func:`judge_every_query`, no
+per-instant verdict memo).
 
 The ``stack`` fixture parametrizes a test over both stacks, entering the
 seam for the ``"reference"`` case.  Patches are process-local: run
@@ -26,6 +28,7 @@ import pytest
 
 import repro.experiments.runner as runner
 import repro.experiments.scenarios as scenarios
+from repro.faults.detector import FailureDetector
 from repro.managers.custody import CustodyManager
 from repro.network.fabric import NetworkFabric
 from tests.scan_policies import scan_dispatch
@@ -34,14 +37,21 @@ from tests.scan_policies import scan_dispatch
 STACKS = ("reference", "incremental")
 
 
+def judge_every_query(detector: FailureDetector, node_id: str) -> str:
+    """Memo-free stand-in for ``FailureDetector._verdict``."""
+    return detector._judge(node_id)
+
+
 @contextmanager
 def reference_stack() -> Iterator[None]:
-    """Build every run's fabric, Custody manager and task schedulers on the
-    reference implementations."""
+    """Build every run's fabric, Custody manager, task schedulers and
+    failure detector on the reference implementations."""
     fabric = partial(NetworkFabric, engine="reference")
     with mock.patch.object(runner, "NetworkFabric", fabric), mock.patch.object(
         runner, "CustodyManager", partial(CustodyManager, alloc_engine="reference")
-    ), mock.patch.object(scenarios, "NetworkFabric", fabric), scan_dispatch():
+    ), mock.patch.object(scenarios, "NetworkFabric", fabric), mock.patch.object(
+        FailureDetector, "_verdict", judge_every_query
+    ), scan_dispatch():
         yield
 
 

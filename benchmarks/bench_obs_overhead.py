@@ -1,9 +1,10 @@
-"""Observability overhead bench — metrics-on vs metrics-off wall time.
+"""Observability overhead bench — metrics-on vs metrics-off CPU time.
 
 The registry's contract is "observe, never perturb": the same trajectory
-(checked per pair) and near-zero wall-clock cost.  This bench times the
-identical experiment dark and lit, interleaved best-of-N to shed scheduler
-noise, and gates the relative overhead.
+(checked per pair) and near-zero cost.  This bench times the identical
+experiment dark and lit in interleaved pairs, each run in this process's
+own CPU time (so time spent waiting for a core on a shared host is not
+charged to either), and gates the median of the per-pair lit/dark ratios.
 
 Three entry points:
 
@@ -19,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from statistics import median
 from dataclasses import dataclass, replace
 from typing import List, Sequence
 
@@ -42,10 +44,15 @@ TRAJECTORY = [
     ("wordcount", 50, 4, 24),
     ("sort", 50, 4, 30),
 ]
-#: Interleaved pairs per point.  The true overhead is ~2% but single runs on
-#: a shared host spread by +-15%; with 7 pairs the best-3 estimate still
-#: crossed 5% in ~1 of 9 windows of a 42-pair sample, with 12 in none.
-REPEATS = 12
+#: Interleaved pairs per point.  The true overhead is ~1%, but on a shared
+#: 2-core host single-run CPU times of the smoke point spread 0.39-0.71 s
+#: and single-pair ratios by +-10%.  The paired ratio cancels drift that
+#: hits both runs of a pair and its median sheds the pairs a neighbour
+#: disturbed.  Over sliding windows of a 72-pair sample the median of 12
+#: ratios still crossed 5% in 8 of 61 windows (a best-3-of-12 estimate on
+#: the same CPU times: 17 of 61); the median of 20 crossed it in none of
+#: 53 (spread of the estimate 0.017).
+REPEATS = 20
 
 
 @dataclass
@@ -62,10 +69,11 @@ class OverheadPoint:
     lockstep: bool
 
 
-def _time_run(config) -> float:
-    start = time.perf_counter()
+def _cpu_run(config) -> float:
+    """CPU seconds this process spends on one experiment."""
+    start = time.process_time()
     run_experiment(config)
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 
 def measure_point(workload: str, nodes: int, apps: int, jobs: int,
@@ -81,21 +89,22 @@ def measure_point(workload: str, nodes: int, apps: int, jobs: int,
     lockstep = (dark_result.metrics == lit_result.metrics
                 and dark_result.sim_time == lit_result.sim_time)
 
-    # Interleave the pairs so slow drift (thermal, noisy neighbours) hits
-    # both variants alike, then compare the sums of each variant's three
-    # fastest runs: a single-min ratio amplifies one lucky outlier, while
-    # the low-tail sum tracks the noise-free time far more stably.
+    # Interleave the pairs, alternating which variant runs first so neither
+    # always inherits the other's warm caches, and take the median of the
+    # per-pair ratios: drift hits both runs of a pair alike and cancels in
+    # the ratio, and one disturbed pair cannot move the median.
     darks, lits = [], []
-    for _ in range(repeats):
-        darks.append(_time_run(dark_cfg))
-        lits.append(_time_run(lit_cfg))
-    tail = max(1, min(3, repeats))
-    dark_best = sum(sorted(darks)[:tail]) / tail
-    lit_best = sum(sorted(lits)[:tail]) / tail
-    overhead = (lit_best - dark_best) / dark_best
+    for i in range(repeats):
+        if i % 2:
+            lits.append(_cpu_run(lit_cfg))
+            darks.append(_cpu_run(dark_cfg))
+        else:
+            darks.append(_cpu_run(dark_cfg))
+            lits.append(_cpu_run(lit_cfg))
+    overhead = median(lit / dark for dark, lit in zip(darks, lits)) - 1.0
     return OverheadPoint(
         workload=workload, nodes=nodes, apps=apps, jobs_per_app=jobs,
-        repeats=repeats, dark_seconds=dark_best, lit_seconds=lit_best,
+        repeats=repeats, dark_seconds=median(darks), lit_seconds=median(lits),
         overhead=overhead,
         metric_families=len(lit_result.registry.snapshot()["metrics"]),
         lockstep=lockstep,
@@ -129,7 +138,8 @@ def _emit_points(points: Sequence[OverheadPoint]) -> None:
         [[p.workload, p.nodes, p.apps, p.jobs_per_app,
           p.dark_seconds, p.lit_seconds, f"{p.overhead:+.1%}",
           p.metric_families, p.lockstep] for p in points],
-        title="metrics registry overhead (best-of-%d, lockstep checked)" % REPEATS,
+        title="metrics registry overhead (median of %d paired CPU-time ratios, "
+        "lockstep checked)" % REPEATS,
     ))
 
 
@@ -158,7 +168,7 @@ def smoke() -> int:
     point = measure_point(*TRAJECTORY[0])
     print(
         f"smoke: {point.workload} x{point.nodes} nodes — "
-        f"dark {point.dark_seconds:.3f}s, lit {point.lit_seconds:.3f}s, "
+        f"dark {point.dark_seconds:.3f}s, lit {point.lit_seconds:.3f}s CPU (medians), "
         f"overhead {point.overhead:+.1%} (ceiling {MAX_OVERHEAD:.0%}), "
         f"{point.metric_families} families, lockstep: {point.lockstep}"
     )

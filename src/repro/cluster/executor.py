@@ -40,6 +40,8 @@ class Executor:
             raise CapacityError(f"{executor_id}: slots must be >= 1, got {slots}")
         self.executor_id = executor_id
         self.node = node
+        #: Id of the hosting worker node (an executor never moves).
+        self.node_id: str = node.node_id
         self.slots = slots
         self.state = ExecutorState.FREE
         self.owner: Optional[str] = None  # application id
@@ -50,11 +52,6 @@ class Executor:
         node.attach_executor(self)
 
     # -------------------------------------------------------------- allocation
-    @property
-    def node_id(self) -> str:
-        """Id of the hosting worker node."""
-        return self.node.node_id
-
     @property
     def is_free(self) -> bool:
         """True when no application owns this executor."""

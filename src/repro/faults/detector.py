@@ -19,13 +19,15 @@ A verdict is a pure function of the clock and the reported history, so
 it is judged once per node per instant: repeat queries at the same
 ``sim.now`` with no report in between (every mutator bumps a counter)
 return the stored verdict.  Allocation rounds ask about every free
-executor's node, several times over.
+executor's node, several times over.  A node no outage, slowdown or report
+has ever named is judged without the heartbeat walk: its last heartbeat is
+simply the latest tick.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.obs.events import HeartbeatMiss, SuspicionChange
@@ -126,6 +128,9 @@ class FailureDetector:
         self._history: Dict[str, NodeHealthHistory] = {}
         #: node id → last time a failed launch was reported against it
         self._reported: Dict[str, float] = {}
+        #: nodes an outage, slowdown or report has named; every other node
+        #: heartbeats on every tick, so its verdict needs no walk
+        self._touched: Set[str] = set()
         self.reported_failures = 0
         #: bumped by every mutator; with ``sim.now`` it keys the verdict memo
         self._mutations = 0
@@ -139,6 +144,7 @@ class FailureDetector:
         hist = self._history.get(node_id)
         if hist is None:
             hist = self._history[node_id] = NodeHealthHistory()
+            self._touched.add(node_id)
         return hist
 
     def begin_outage(self, node_id: str) -> None:
@@ -177,6 +183,7 @@ class FailureDetector:
         The suspicion clears as soon as a heartbeat tick *after* the report
         succeeds (the node actually recovered)."""
         self._mutations += 1
+        self._touched.add(node_id)
         self._reported[node_id] = max(self._reported.get(node_id, 0.0), self.sim.now)
         self.reported_failures += 1
         self._m_reports.inc()
@@ -226,9 +233,20 @@ class FailureDetector:
         return verdict
 
     def _judge(self, node_id: str) -> str:
-        """Uncached verdict: "dead" while (a) the last successful heartbeat
-        is older than ``timeout`` or (b) a failed launch was reported and no
-        heartbeat has succeeded since; "alive" otherwise."""
+        """Uncached verdict; :meth:`_judge_walk` unless nothing ever named
+        the node."""
+        if node_id not in self._touched:
+            # No outage history and no report: the latest tick got through.
+            now = self.sim.now
+            last = int(now // self.interval) * self.interval
+            return "alive" if (now - last) <= self.timeout else "dead"
+        return self._judge_walk(node_id)
+
+    def _judge_walk(self, node_id: str) -> str:
+        """Verdict from the heartbeat walk: "dead" while (a) the last
+        successful heartbeat is older than ``timeout`` or (b) a failed launch
+        was reported and no heartbeat has succeeded since; "alive"
+        otherwise."""
         last = self.last_heartbeat(node_id)
         reported = self._reported.get(node_id)
         if reported is not None and last <= reported:
@@ -333,6 +351,7 @@ class AdaptiveFailureDetector(FailureDetector):
     def begin_slow(self, node_id: str, factor: float) -> None:
         """Open (or deepen) a slow window; effective factor is the max."""
         self._mutations += 1
+        self._touched.add(node_id)
         now = self.sim.now
         open_ = self._slow_open.get(node_id)
         if open_ is None:
@@ -493,7 +512,22 @@ class AdaptiveFailureDetector(FailureDetector):
         return self._verdict(node_id)
 
     def _judge(self, node_id: str) -> str:
-        """Phi verdict; the first query at an instant observes transitions."""
+        """Phi verdict; :meth:`_judge_walk` unless nothing ever named the
+        node."""
+        if node_id not in self._touched and node_id not in self._last_state:
+            # No slow segment, outage or report: the emission clock is real
+            # time and the latest emission got through.  Less than one gap
+            # of silence is phi <= 1 < suspect_after whatever the gap, so
+            # the verdict is "alive", the state last observed: no transition.
+            now = self.sim.now
+            k = int(math.floor(now / self.interval + 1e-9))
+            if now - (k * self.interval if k > 0 else 0.0) < self.interval:
+                return "alive"
+        return self._judge_walk(node_id)
+
+    def _judge_walk(self, node_id: str) -> str:
+        """Phi verdict from the heartbeat walk; the first query at an
+        instant observes transitions."""
         segments = self._segments(node_id)
         last = self._last_heartbeat(node_id, segments)
         reported = self._reported.get(node_id)

@@ -1070,7 +1070,7 @@ class ApplicationDriver:
         attempt.process = Process(
             self.sim,
             self._attempt_proc(attempt),
-            name=f"run:{task.task_id}@{executor.executor_id}",
+            name=("run:", task.task_id, "@", executor.executor_id),
         )
 
     def _kill_attempt(self, attempt: _Attempt) -> None:

@@ -8,7 +8,7 @@ Determinism is absolute: events at equal times fire in scheduling order
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
@@ -58,9 +58,6 @@ class EventHandle:
         """True while the event is queued and will still fire."""
         return not self.fired and not self.cancelled
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"<EventHandle t={self.time:.6g} seq={self.seq} {state}>"
@@ -86,7 +83,10 @@ class Simulation:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: List[EventHandle] = []
+        #: heap of ``(time, seq, handle)``: ``heapq`` orders the entries by
+        #: comparing tuples in C, and the unique ``seq`` means a comparison
+        #: never reaches the handle
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._deferred: Dict[Any, Tuple[Callable[..., Any], tuple]] = {}
         self._running = False
         self._finished = False
@@ -112,7 +112,13 @@ class Simulation:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay:.6g}s in the past")
-        return self.schedule_at(self._now + delay, callback, *args)
+        time = self._now + delay
+        seq = self._seq
+        handle = EventHandle(time, seq, callback, args, self)
+        self._seq = seq + 1
+        heappush(self._queue, (time, seq, handle))
+        self._live += 1
+        return handle
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` at absolute virtual time ``time``."""
@@ -120,16 +126,23 @@ class Simulation:
             raise SimulationError(
                 f"cannot schedule at t={time:.6g} (now is t={self._now:.6g})"
             )
-        handle = EventHandle(time, self._seq, callback, args, self)
-        self._seq += 1
-        heapq.heappush(self._queue, handle)
+        seq = self._seq
+        handle = EventHandle(time, seq, callback, args, self)
+        self._seq = seq + 1
+        heappush(self._queue, (time, seq, handle))
         self._live += 1
         return handle
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``callback`` at the current time, after already-queued events
         at this time."""
-        return self.schedule(0.0, callback, *args)
+        time = self._now
+        seq = self._seq
+        handle = EventHandle(time, seq, callback, args, self)
+        self._seq = seq + 1
+        heappush(self._queue, (time, seq, handle))
+        self._live += 1
+        return handle
 
     def defer(self, key: Any, callback: Callable[..., Any], *args: Any) -> None:
         """Coalesce ``callback`` to run once before virtual time next advances.
@@ -154,9 +167,16 @@ class Simulation:
 
         Pending deferred callbacks count as work at the current instant.
         """
-        self._drop_dead_events()
-        if self._queue:
-            return min(self._queue[0].time, self._now) if self._deferred else self._queue[0].time
+        queue = self._queue
+        dead = self._dead
+        if dead and (
+            queue[0][2].cancelled
+            or (dead > self._COMPACT_MIN_DEAD and dead * 2 > len(queue))
+        ):
+            self._drop_dead_events()
+            queue = self._queue
+        if queue:
+            return min(queue[0][0], self._now) if self._deferred else queue[0][0]
         return self._now if self._deferred else None
 
     def step(self) -> bool:
@@ -165,23 +185,29 @@ class Simulation:
         Deferred callbacks (see :meth:`defer`) flush — as one step — when the
         queue is empty or its head lies beyond the current instant.
         """
-        self._drop_dead_events()
-        if self._deferred and (not self._queue or self._queue[0].time > self._now):
+        queue = self._queue
+        dead = self._dead
+        if dead and (
+            queue[0][2].cancelled
+            or (dead > self._COMPACT_MIN_DEAD and dead * 2 > len(queue))
+        ):
+            self._drop_dead_events()
+            queue = self._queue
+        if self._deferred and (not queue or queue[0][0] > self._now):
             deferred, self._deferred = self._deferred, {}
             for callback, args in deferred.values():
                 callback(*args)
             self.events_processed += 1
             self.deferred_flushes += 1
             return True
-        if not self._queue:
+        if not queue:
             return False
-        handle = heapq.heappop(self._queue)
-        self._now = handle.time
+        time, _, handle = heappop(queue)
+        self._now = time
         handle.fired = True
         self._live -= 1
         callback, args = handle.callback, handle.args
         handle.callback, handle.args = None, ()
-        assert callback is not None
         self.events_processed += 1
         callback(*args)
         return True
@@ -260,13 +286,15 @@ class Simulation:
         heartbeats) cannot be popped lazily until their time arrives; once
         they outnumber the live events the whole heap is rebuilt in one
         O(n) pass so every push/pop stops paying for dead weight.
+        :meth:`step` and :meth:`peek` call this only when it has work: the
+        head is cancelled or the heap is bloated.
         """
         queue = self._queue
-        while queue and queue[0].cancelled:
-            heapq.heappop(queue)
+        while queue and queue[0][2].cancelled:
+            heappop(queue)
             self._dead -= 1
         if self._dead > self._COMPACT_MIN_DEAD and self._dead * 2 > len(queue):
-            self._queue = [h for h in queue if not h.cancelled]
-            heapq.heapify(self._queue)
+            self._queue = [entry for entry in queue if not entry[2].cancelled]
+            heapify(self._queue)
             self._dead = 0
             self.heap_compactions += 1

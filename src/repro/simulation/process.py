@@ -21,12 +21,15 @@ model task preemption and executor decommissioning.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, List, Optional
+from typing import Any, Generator, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
 from repro.simulation.engine import EventHandle, Simulation
 
 __all__ = ["Timeout", "Signal", "Process", "Interrupt", "AllOf", "AnyOf"]
+
+#: A process name: a string, or parts joined only when the name is read.
+ProcessName = Union[str, Tuple[str, ...]]
 
 
 class Interrupt(Exception):
@@ -88,15 +91,20 @@ class Signal(Waitable):
     signal resumes immediately (on the next event-loop tick).
     """
 
-    __slots__ = ("sim", "name", "_callbacks", "_triggered", "_value", "_exception")
+    __slots__ = ("sim", "_name", "_callbacks", "_triggered", "_value", "_exception")
 
-    def __init__(self, sim: Simulation, name: str = ""):
+    def __init__(self, sim: Simulation, name: ProcessName = ""):
         self.sim = sim
-        self.name = name
+        self._name = name
         self._callbacks: List[Any] = []
         self._triggered = False
         self._value: Any = None
         self._exception: Optional[BaseException] = None
+
+    @property
+    def name(self) -> str:
+        """The name given at construction (used in error messages)."""
+        return self._name
 
     @property
     def triggered(self) -> bool:
@@ -139,24 +147,52 @@ class Signal(Waitable):
             pass
 
 
+def _joined(name: ProcessName) -> str:
+    """A process name: a string, or a tuple of strings joined on read."""
+    return name if isinstance(name, str) else "".join(name)
+
+
+class _DoneSignal(Signal):
+    """A process's completion signal, named ``"<process name>.done"``.
+
+    Its ``_name`` slot holds the process's unjoined name, so the string is
+    built only when read (in an error message), not once per process.
+    """
+
+    __slots__ = ()
+
+    @property
+    def name(self) -> str:
+        return f"{_joined(self._name)}.done"
+
+
 class Process(Waitable):
     """Drives a generator, resuming it when whatever it yielded completes.
 
     Completion (StopIteration) records the generator's return value; an
     uncaught exception is stored and re-raised in any process waiting on this
     one — or escapes to the event loop if nothing ever waits (fail-fast).
+
+    ``name`` is a string, or a tuple of strings joined only when
+    :attr:`name` is read (``repr`` and error messages), so a caller
+    starting thousands of processes need not format a name for each.
     """
 
-    def __init__(self, sim: Simulation, generator: Generator, name: str = ""):
+    def __init__(self, sim: Simulation, generator: Generator, name: ProcessName = ""):
         self.sim = sim
-        self.name = name or getattr(generator, "__name__", "process")
+        self._name = name or getattr(generator, "__name__", "process")
         self._gen = generator
-        self._done = Signal(sim, name=f"{self.name}.done")
+        self._done = _DoneSignal(sim, self._name)
         self._current: Optional[Waitable] = None
         self._alive = True
         sim.call_soon(self._resume, None, None)
 
     # -------------------------------------------------------------- inspection
+    @property
+    def name(self) -> str:
+        """The process name; defaults to the generator's ``__name__``."""
+        return _joined(self._name)
+
     @property
     def alive(self) -> bool:
         """True while the generator has not finished."""
@@ -189,7 +225,7 @@ class Process(Waitable):
             self._current._unsubscribe(self._resume)
             self._current = None
             if immediate:
-                self._step(lambda: self._gen.throw(Interrupt(cause)))
+                self._step(self._gen.throw, Interrupt(cause))
                 return
         self.sim.call_soon(self._resume_with_interrupt, cause)
 
@@ -203,20 +239,22 @@ class Process(Waitable):
         if self._current is not None:
             self._current._unsubscribe(self._resume)
             self._current = None
-        self._step(lambda: self._gen.throw(Interrupt(cause)))
+        self._step(self._gen.throw, Interrupt(cause))
 
     def _resume(self, value: Any, exception: Optional[BaseException]) -> None:
         if not self._alive:
             return
         self._current = None
         if exception is not None:
-            self._step(lambda: self._gen.throw(exception))
+            self._step(self._gen.throw, exception)
         else:
-            self._step(lambda: self._gen.send(value))
+            self._step(self._gen.send, value)
 
-    def _step(self, advance) -> None:
+    def _step(self, advance, arg: Any) -> None:
+        """Advance the generator by ``advance(arg)`` (its ``send`` or
+        ``throw``) and subscribe to whatever it yields next."""
         try:
-            target = advance()
+            target = advance(arg)
         except StopIteration as stop:
             self._alive = False
             self._done.trigger(stop.value)

@@ -36,6 +36,7 @@ class Task:
         "app_id",
         "stage_index",
         "kind",
+        "is_input",
         "block",
         "cpu_time",
         "shuffle_bytes",
@@ -75,6 +76,8 @@ class Task:
         self.app_id = app_id
         self.stage_index = stage_index
         self.kind = kind
+        #: True for first-stage tasks reading an HDFS block.
+        self.is_input: bool = kind is TaskKind.INPUT
         self.block = block
         self.cpu_time = cpu_time
         self.shuffle_bytes = shuffle_bytes
@@ -92,11 +95,6 @@ class Task:
         self.cancelled: bool = False
 
     # ------------------------------------------------------------- inspection
-    @property
-    def is_input(self) -> bool:
-        """True for first-stage tasks reading an HDFS block."""
-        return self.kind is TaskKind.INPUT
-
     @property
     def finished(self) -> bool:
         """True once the driver recorded completion."""

@@ -20,6 +20,10 @@ def executor(node):
 
 
 class TestAllocation:
+    def test_node_id_is_the_hosting_nodes_id(self, executor, node):
+        assert executor.node_id == node.node_id == "w-0"
+        assert "node_id" in vars(executor)  # a plain attribute, not derived per read
+
     def test_starts_free(self, executor):
         assert executor.is_free
         assert executor.owner is None

@@ -212,8 +212,28 @@ class TestQueryCost:
             ]
         assert states == ["suspected", "dead", "alive"]
         assert len(tracer.events()) == 2  # both transitions traced phi
-        assert walks.call_count == 3
-        assert builds.call_count == 3
+        # worker-002 was never named by an outage, slowdown or report: its
+        # verdict takes no walk at all.
+        assert walks.call_count == 2
+        assert builds.call_count == 2
+
+    @pytest.mark.parametrize("cls", [AdaptiveFailureDetector, FailureDetector])
+    def test_untouched_node_skips_the_walk(self, cls):
+        sim = Simulation()
+        detector = cls(sim, interval=3.0)
+        walk = mock.patch.object(detector, "last_heartbeat", wraps=detector.last_heartbeat)
+        inner = mock.patch.object(
+            detector, "_judge_walk", wraps=detector._judge_walk
+        )
+        with walk as walks, inner as judged:
+            for until in (0.0, 2.999999999, 3.0, 10.5, 1e6 + 0.25):
+                sim.run(until=until)
+                assert detector.is_alive("worker-000")
+                assert not detector.is_suspected("worker-000")
+            assert judged.call_count == 0 and walks.call_count == 0
+            detector.report_failure("worker-000")  # now it is named
+            assert not detector.is_alive("worker-000")
+            assert judged.call_count == 1
 
 
 class MemoFreeDetector(AdaptiveFailureDetector):
@@ -307,12 +327,15 @@ def run_script(detector_cls, seed, **kwargs):
 
     Returns every query result, the accuracy tallies and the traced
     ``detector.suspicion`` events — everything observable from outside.
+    About half the queries ask about nodes no mutation ever names, which
+    take the detector's no-walk path.
     """
     rng = random.Random(seed)
     sim = Simulation()
     tracer = Tracer(clock=lambda: sim.now, sinks=[RingSink()])
     detector = detector_cls(sim, interval=3.0, tracer=tracer, **kwargs)
     nodes = ["worker-000", "worker-001", "worker-002"]
+    quiet = ["worker-003", "worker-004", "worker-005"]
     depth = {n: 0 for n in nodes}
     slow = {n: [] for n in nodes}
     kinds = ["is_alive", "is_suspected"]
@@ -328,6 +351,8 @@ def run_script(detector_cls, seed, **kwargs):
             sim.run(until=sim.now + rng.choice([0.0, 0.5, 1.0, 1.5, 3.0, 4.5, 7.0, 12.0]))
         elif op == "query":
             kind = rng.choice(kinds)
+            if rng.random() < 0.5:
+                node = rng.choice(quiet)
             answers.append((sim.now, kind, node, getattr(detector, kind)(node)))
         elif op == "outage":
             if depth[node] and rng.random() < 0.5:

@@ -9,8 +9,9 @@ paper-figure scenarios) so any ``run_experiment`` / figure call inside the
 block runs on ``NetworkFabric(engine="reference")``,
 ``CustodyManager(alloc_engine="reference")``, the scan schedulers
 (:func:`~tests.scan_policies.scan_dispatch`) and failure detectors that
-judge every liveness query afresh (:func:`judge_every_query`, no
-per-instant verdict memo).
+judge every liveness query afresh with the full heartbeat walk
+(:func:`judge_every_query`: no per-instant verdict memo and no shortcut
+for nodes nothing has named).
 
 The ``stack`` fixture parametrizes a test over both stacks, entering the
 seam for the ``"reference"`` case.  Patches are process-local: run
@@ -38,8 +39,8 @@ STACKS = ("reference", "incremental")
 
 
 def judge_every_query(detector: FailureDetector, node_id: str) -> str:
-    """Memo-free stand-in for ``FailureDetector._verdict``."""
-    return detector._judge(node_id)
+    """Memo-free, walk-always stand-in for ``FailureDetector._verdict``."""
+    return detector._judge_walk(node_id)
 
 
 @contextmanager

@@ -164,6 +164,37 @@ class TestProcess:
             sim.run()
 
 
+class TestNames:
+    def test_default_name_is_the_generators(self, sim):
+        def worker():
+            yield Timeout(1.0)
+
+        p = Process(sim, worker())
+        assert p.name == "worker"
+        assert repr(p) == "<Process worker alive>"
+        assert p.done.name == "worker.done"
+
+    def test_tuple_name_is_joined_when_read(self, sim):
+        def worker():
+            yield "not a waitable"
+
+        p = Process(sim, worker(), name=("run:", "t-0", "@", "e-0"))
+        assert p.name == "run:t-0@e-0"
+        assert p.done.name == "run:t-0@e-0.done"
+        assert repr(p) == "<Process run:t-0@e-0 alive>"
+        with pytest.raises(SimulationError, match="process 'run:t-0@e-0' yielded"):
+            sim.run()
+
+    def test_done_signal_name_in_double_trigger_error(self, sim):
+        def worker():
+            yield Timeout(1.0)
+
+        p = Process(sim, worker(), name="w")
+        sim.run()
+        with pytest.raises(SimulationError, match="'w.done' triggered twice"):
+            p.done.trigger()
+
+
 class TestInterrupt:
     def test_interrupt_raises_inside_process(self, sim):
         events = []

@@ -33,6 +33,15 @@ class TestConstruction:
         assert not t.is_input
         assert t.shuffle_bytes == 100.0
 
+    @pytest.mark.parametrize("kind", list(TaskKind))
+    def test_is_input_matches_kind(self, kind):
+        if kind is TaskKind.INPUT:
+            t = input_task()
+        else:
+            t = Task("t-2", job_id="j", app_id="a", stage_index=1, kind=kind, cpu_time=1.0)
+        assert t.is_input is (t.kind is TaskKind.INPUT)
+        assert "is_input" in Task.__slots__
+
     def test_input_requires_block(self):
         with pytest.raises(ValueError):
             input_task(block=None)

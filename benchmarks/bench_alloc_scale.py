@@ -2,9 +2,9 @@
 
 Times full Custody allocation rounds (release, demand build, two-level
 max-min, grant application) under single-app-per-instant churn at growing
-tenant counts (see :mod:`repro.experiments.allocbench` for the workload
-model) and verifies the two control planes produce identical plans every
-round.
+tenant counts (see ``tests/allocbench.py`` for the workload model, so the
+repository root must be importable) and verifies the two control planes
+produce identical plans every round.
 
 Four entry points:
 
@@ -30,8 +30,8 @@ import pytest
 
 from common import emit
 
-from repro.experiments.allocbench import run_alloc_bench, write_alloc_trajectory
 from repro.metrics.report import format_table
+from tests.allocbench import run_alloc_bench, write_alloc_trajectory
 
 #: CI smoke gate: at this scale the cached control plane must beat the
 #: from-scratch rebuild by at least this factor.  The measured margin is

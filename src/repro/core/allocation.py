@@ -29,15 +29,10 @@ from repro.core.demand import AllocationPlan, AppDemand, JobDemand, TaskDemand
 from repro.core.interapp import pick_min_locality
 
 __all__ = [
-    "ALLOCATION_ENGINES",
     "DataAwareAllocator",
     "two_level_allocate",
     "two_level_allocate_incremental",
 ]
-
-#: Allocator implementations (identical plans): the production heap engine
-#: and the seed rescan, kept as the test oracle.
-ALLOCATION_ENGINES = ("incremental", "reference")
 
 
 @dataclass
@@ -353,29 +348,17 @@ def two_level_allocate_incremental(
 
 
 class DataAwareAllocator:
-    """Object façade over the allocation engines with stable settings.
+    """Object façade over :func:`two_level_allocate_incremental` with stable
+    settings.
 
     Keeps the fill policy in one place so the Custody manager and the
-    ablation benches construct allocation rounds identically.  ``engine``
-    selects the implementation: ``"incremental"`` (heap-based, the default)
-    or ``"reference"`` (the seed from-scratch rescan, a test oracle) — both
-    produce bitwise-identical plans.
+    ablation benches construct allocation rounds identically.  Its plans
+    equal :func:`two_level_allocate`'s bit for bit.
     """
 
-    def __init__(
-        self,
-        *,
-        fill: bool = True,
-        executor_capacity: int = 1,
-        engine: str = "incremental",
-    ):
-        if engine not in ALLOCATION_ENGINES:
-            raise ValueError(
-                f"unknown allocation engine {engine!r}; choose from {ALLOCATION_ENGINES}"
-            )
+    def __init__(self, *, fill: bool = True, executor_capacity: int = 1):
         self.fill = fill
         self.executor_capacity = executor_capacity
-        self.engine = engine
 
     def allocate(
         self,
@@ -385,11 +368,7 @@ class DataAwareAllocator:
         fill_limits: Optional[Dict[str, int]] = None,
     ) -> AllocationPlan:
         """Produce an allocation plan for one round."""
-        run = {
-            "incremental": two_level_allocate_incremental,
-            "reference": two_level_allocate,
-        }[self.engine]
-        return run(
+        return two_level_allocate_incremental(
             apps,
             idle_executors,
             fill=self.fill,

@@ -13,9 +13,10 @@
   (Fig. 1, 3, 4/5) as runnable scenarios with exact expected numbers.
 * :mod:`repro.experiments.sweeps` / :mod:`repro.experiments.parallel` —
   config-grid sweeps and their process-pool fan-out.
-* :mod:`repro.experiments.allocbench` — the allocation control-plane
-  benchmark harness (and the golden plan stream its fixture pins).
 
-The package re-exports nothing: importing a submodule loads only what that
-submodule needs, so a run never pays for the figure or bench drivers.
+The allocation control-plane benchmark harness runs the production Custody
+manager against its test oracle, so it lives beside that oracle in
+``tests/allocbench.py``.  The package re-exports nothing: importing a
+submodule loads only what that submodule needs, so a run never pays for
+the figure or sweep drivers.
 """

@@ -20,26 +20,25 @@ The manager mirrors the plugin architecture of §V:
    them, exactly as the paper deploys it — a
    :class:`~repro.scheduling.policies.HintedDelayScheduler` opts in.
 
-Two control-plane implementations share this round structure:
+The control plane runs each round through live indexes: a per-round
+NameNode replica memo (keyed on ``NameNode.version``) shared between
+release, usefulness and demand building; a per-driver demand cache whose
+entries stay valid while the driver's ``demand_epoch``, the NameNode
+version and the free pool on the demand's *watched* replica nodes are all
+unchanged; and the O(1) locality counters the drivers maintain through
+``Application.note_input_decided``.  Under fault injection only
+demand-cache *reuse* is off: detector transitions move the believed free
+pool without passing :meth:`_note_pool_change`, so a cached demand's
+candidate sets could go stale invisibly.  The replica memo, the
+useful-nodes cache and the locality counters read nothing from the pool
+and stay on.
 
-* ``alloc_engine="reference"`` — the seed from-scratch path: every round
-  rebuilds every application's demand with per-task NameNode lookups and
-  full locality-history scans.  Runs never select it; it is the oracle the
-  equivalence tests and the allocation bench reach through this
-  constructor.
-* ``alloc_engine="incremental"`` (default) — live indexes: a per-round
-  NameNode replica memo (keyed on ``NameNode.version``) shared between
-  release, usefulness and demand building; a per-driver demand cache whose
-  entries stay valid while the driver's ``demand_epoch``, the NameNode
-  version and the free pool on the demand's *watched* replica nodes are all
-  unchanged; and the O(1) locality counters the drivers maintain through
-  ``Application.note_input_decided``.  The incremental path produces
-  byte-identical demands and plans — the equivalence suites assert it.
-  Under fault injection only demand-cache *reuse* is off: detector
-  transitions move the believed free pool without passing
-  :meth:`_note_pool_change`, so a cached demand's candidate sets could go
-  stale invisibly.  The replica memo, the useful-nodes cache and the
-  locality counters read nothing from the pool and stay on.
+The seed control plane — every round rebuilds every application's demand
+with per-task NameNode lookups and full locality-history scans, and plans
+with :func:`~repro.core.allocation.two_level_allocate` — is the test oracle
+``ReferenceCustodyManager`` in ``tests/reference_stack.py``; the
+equivalence suites assert this manager's demands and plans equal its
+byte for byte.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ class CustodyManager(ClusterManager):
         validate: bool = False,
         weights=None,
         tracer=None,
-        alloc_engine: str = "incremental",
         coalesce: bool = False,
         counters=None,
         metrics=None,
@@ -121,9 +119,7 @@ class CustodyManager(ClusterManager):
         self.allocator = DataAwareAllocator(
             fill=fill,
             executor_capacity=cluster.config.executor_slots,
-            engine=alloc_engine,
         )
-        self.alloc_engine = alloc_engine
         self.validate = validate
         self.last_plan: Optional[AllocationPlan] = None
         # Incremental control-plane state (see module docstring).
@@ -205,10 +201,7 @@ class CustodyManager(ClusterManager):
             now = time.perf_counter()
             counters.alloc_release_seconds += now - mark
             mark = now
-        if self.alloc_engine == "reference":
-            demands, fill_limits = self._build_demands_reference(pool)
-        else:
-            demands, fill_limits = self._build_demands(pool)
+        demands, fill_limits = self._build_demands(pool)
         idle = [e.executor_id for e in pool]
         if counters is not None:
             now = time.perf_counter()
@@ -298,8 +291,6 @@ class CustodyManager(ClusterManager):
         NameNode metadata, so a ``(demand_epoch, NameNode.version)`` pair
         keys its validity exactly.
         """
-        if self.alloc_engine == "reference":
-            return self._pending_replica_nodes(driver)
         namenode = driver.hdfs.namenode
         cached = self._useful_cache.get(driver.app_id)
         if (
@@ -315,79 +306,7 @@ class CustodyManager(ClusterManager):
         self._useful_cache[driver.app_id] = (driver.demand_epoch, namenode.version, nodes)
         return nodes
 
-    def _pending_replica_nodes(self, driver: "ApplicationDriver") -> set:
-        """Nodes holding replicas of any pending (unstarted) input task."""
-        namenode = driver.hdfs.namenode
-        nodes: set = set()
-        for task in driver.runnable_tasks:
-            if task.is_input and task.started_at is None and task.block is not None:
-                nodes.update(namenode.serving_locations(task.block.block_id))
-        return nodes
-
     # ------------------------------------------------------------------ demands
-    def _build_demands_reference(self, pool: List[Executor]) -> tuple:
-        """The seed builder: per-task NameNode lookups, full history scans."""
-        free_by_node: Dict[str, List[str]] = {}
-        for executor in pool:
-            free_by_node.setdefault(executor.node_id, []).append(executor.executor_id)
-
-        demands: List[AppDemand] = []
-        fill_limits: Dict[str, int] = {}
-        for driver in self._driver_order():
-            namenode = driver.hdfs.namenode
-            owned_nodes = set(driver.owned_nodes())
-            job_by_id: Optional[Dict[str, Job]] = None
-            jobs: Dict[str, List[TaskDemand]] = {}
-            totals: Dict[str, int] = {}
-            for task in driver.runnable_tasks:
-                if not task.is_input or task.started_at is not None:
-                    continue
-                assert task.block is not None
-                replica_nodes = namenode.serving_locations(task.block.block_id)
-                if owned_nodes.intersection(replica_nodes):
-                    continue  # satisfied: an owned executor can serve it locally
-                candidates = [
-                    ex for node in replica_nodes for ex in free_by_node.get(node, ())
-                ]
-                jobs.setdefault(task.job_id, []).append(
-                    TaskDemand.of(task.task_id, candidates)
-                )
-                if task.job_id not in totals:
-                    # Lazily index the job list once per driver, and resolve
-                    # each job's task total once rather than per task.
-                    if job_by_id is None:
-                        job_by_id = {j.job_id: j for j in driver.app.jobs}
-                    totals[task.job_id] = job_by_id[task.job_id].num_input_tasks
-            job_demands = [
-                JobDemand(job_id, tuple(tasks), total_tasks=totals[job_id])
-                for job_id, tasks in sorted(jobs.items())
-            ]
-            app = driver.app
-            decided_jobs = sum(1 for j in app.jobs if j.is_local_job is not None)
-            local_jobs = sum(1 for j in app.jobs if j.is_local_job)
-            decided_tasks = sum(
-                1 for t in app.input_tasks if t.was_local is not None
-            )
-            local_tasks = sum(1 for t in app.input_tasks if t.was_local)
-            quota = self.quota_of(driver.app_id)
-            held = min(driver.executor_count, quota)
-            demands.append(
-                AppDemand(
-                    app_id=driver.app_id,
-                    jobs=tuple(job_demands),
-                    quota=quota,
-                    held=held,
-                    local_jobs=local_jobs,
-                    decided_jobs=decided_jobs,
-                    local_tasks=local_tasks,
-                    decided_tasks=decided_tasks,
-                )
-            )
-            fill_limits[driver.app_id] = max(
-                0, self.needed_executors(driver) - driver.executor_count
-            )
-        return demands, fill_limits
-
     def _build_demands(self, pool: List[Executor]) -> tuple:
         """Demand construction through the live indexes and per-driver cache.
 

@@ -12,10 +12,10 @@ flow granularity:
 * rates are recomputed whenever a flow starts or finishes, and completion
   events are rescheduled from the bytes still outstanding;
 * all flow changes of one simulated instant batch into a single recompute,
-  and the default :class:`~repro.network.rate_engine.RateEngine` re-rates
-  only the affected connected component of the link-flow graph.  Both it
-  and the test-only ``NetworkFabric(engine="reference")``, which re-solves
-  every flow, call the one progressive-filling kernel, ``maxmin_rates``.
+  and the fabric's :class:`~repro.network.rate_engine.RateEngine` re-rates
+  only the affected connected component of the link-flow graph with the
+  one progressive-filling kernel, ``maxmin_rates``.  The seed allocator
+  that re-solves every flow is a test oracle in ``tests/reference_stack.py``.
 
 This is the standard fluid approximation used by flow-level datacenter
 simulators; it captures contention and elasticity without per-packet cost.

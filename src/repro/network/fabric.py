@@ -7,18 +7,14 @@ same-timestamp changes settle in a single rate recompute.  This is exact —
 a rate held for zero simulated time moves zero bytes — and removes the
 event-storm recompute cost of large shuffle fan-outs.
 
-The flush itself runs one of two allocators:
+The flush asks the fabric's persistent
+:class:`~repro.network.rate_engine.RateEngine` to re-rate only the connected
+component(s) of the link-flow graph affected by the batch.  (The seed's
+recompute-from-scratch allocator is a ``RateEngine`` subclass in the test
+seam, ``tests/reference_stack.py``, swapped in for the golden-trace and
+equivalence tests.)
 
-* ``engine="incremental"`` (default): a persistent
-  :class:`~repro.network.rate_engine.RateEngine` re-rates only the connected
-  component(s) of the link-flow graph affected by the batch;
-* ``engine="reference"``: the original recompute-from-scratch path, one
-  :func:`~repro.network.bandwidth.maxmin_rates` call over every flow, kept
-  as the behaviourally identical oracle for golden-trace and equivalence
-  tests (reached only by constructing the fabric directly; runs always use
-  the default).  Both allocators call that one kernel.
-
-Either way the fabric then applies only the rates that actually changed and
+The fabric then applies only the rates that actually changed and
 tracks completions in a lazy min-heap of absolute finish times, so an event
 touching k flows costs O(k log n) rather than O(n).  A single pending
 completion event is maintained (for the earliest finisher); when it fires,
@@ -35,16 +31,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, TransferFailedError
 from repro.common.ids import IdFactory
-from repro.network.bandwidth import LinkCapacities, maxmin_rates
+from repro.network.bandwidth import LinkCapacities
 from repro.network.rate_engine import RateEngine
 from repro.network.transfer import Transfer
 from repro.obs.events import TransferSpan
-from repro.obs.metrics import (
-    NULL_METRICS,
-    RATE_BUCKETS,
-    SIZE_BUCKETS,
-    MetricsRegistry,
-)
+from repro.obs.metrics import NULL_METRICS, RATE_BUCKETS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulation.engine import EventHandle, Simulation
 
@@ -65,9 +56,6 @@ class NetworkFabric:
     ----------
     sim:
         The owning simulation.
-    engine:
-        ``"incremental"`` (default) or ``"reference"`` (the test oracle) —
-        see module docstring.
     counters:
         Optional :class:`~repro.metrics.collector.PerfCounters` accumulator.
     """
@@ -75,15 +63,10 @@ class NetworkFabric:
     def __init__(
         self,
         sim: Simulation,
-        engine: str = "incremental",
         counters: Optional[object] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        if engine not in ("incremental", "reference"):
-            raise ConfigurationError(
-                f"engine must be 'incremental' or 'reference', got {engine!r}"
-            )
         self.sim = sim
         self.counters = counters
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -107,30 +90,13 @@ class NetworkFabric:
             "Achieved mean transfer rate (size / flow lifetime).",
             buckets=RATE_BUCKETS,
         )
-        # The reference allocator recomputes from scratch inside _flush, so
-        # the fabric owns its engine-labelled instruments; the incremental
-        # RateEngine binds (and fills) the engine="incremental" series.
-        self._m_recomputes = self.metrics.counter(
-            "net_rate_recomputes_total",
-            "Water-filling passes executed, by allocator engine.",
-            ("engine",),
-        ).labels(engine=engine)
-        self._m_component = self.metrics.histogram(
-            "net_dirty_component_flows",
-            "Flows re-rated per recompute (dirty-component size).",
-            ("engine",),
-            buckets=SIZE_BUCKETS,
-        ).labels(engine=engine)
         self.capacities = LinkCapacities()
-        self._engine: Optional[RateEngine] = (
-            RateEngine(
-                self.capacities,
-                counters=counters,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
-            if engine == "incremental"
-            else None
+        # The engine binds (and fills) the recompute instruments.
+        self._engine = RateEngine(
+            self.capacities,
+            counters=counters,
+            tracer=self.tracer,
+            metrics=self.metrics,
         )
         self._active: Dict[str, Transfer] = {}
         self._ids = IdFactory(width=6)
@@ -181,9 +147,9 @@ class NetworkFabric:
     def set_link_scale(self, node_id: str, scale: float) -> None:
         """Scale a node's NIC to ``scale`` × its base capacity (degradation).
 
-        Mutates the shared :class:`LinkCapacities` in place so both the
-        incremental and the reference allocator see the new capacity, dirties
-        the node's links, and re-rates at the end of the instant.
+        Mutates the shared :class:`LinkCapacities` in place so the rate
+        engine sees the new capacity, dirties the node's links, and re-rates
+        at the end of the instant.
         """
         if node_id not in self._base_uplink:
             raise ConfigurationError(f"unknown node {node_id!r}")
@@ -193,8 +159,7 @@ class NetworkFabric:
             )
         self.capacities.uplink[node_id] = self._base_uplink[node_id] * scale
         self.capacities.downlink[node_id] = self._base_downlink[node_id] * scale
-        if self._engine is not None:
-            self._engine.touch_node(node_id)
+        self._engine.touch_node(node_id)
         self.sim.defer(self, self._flush)
 
     # --------------------------------------------------------------- transfers
@@ -267,16 +232,7 @@ class NetworkFabric:
             if self.counters is not None:
                 self.counters.flow_events += 1
             return transfer
-        if self._engine is not None:
-            self._engine.add_flow(transfer.transfer_id, src, dst)
-        else:
-            # The reference path validates lazily inside maxmin_rates; keep
-            # the fail-fast contract identical across modes.
-            for node in (src, dst):
-                if node not in self.capacities:
-                    raise ConfigurationError(
-                        f"flow references unregistered node {node!r}"
-                    )
+        self._engine.add_flow(transfer.transfer_id, src, dst)
         self._active[transfer.transfer_id] = transfer
         self._m_xfer_start.inc()
         if self.tracer.narrating:
@@ -293,8 +249,7 @@ class NetworkFabric:
         if transfer.transfer_id in self._active:
             del self._active[transfer.transfer_id]
             self._token.pop(transfer.transfer_id, None)
-            if self._engine is not None:
-                self._engine.remove_flow(transfer.transfer_id)
+            self._engine.remove_flow(transfer.transfer_id)
             self._m_xfer_cancel.inc()
             if self.tracer.narrating:
                 self.tracer.narrate("transfer.cancel", transfer.transfer_id)
@@ -331,8 +286,7 @@ class NetworkFabric:
         if transfer.transfer_id in self._active:
             del self._active[transfer.transfer_id]
             self._token.pop(transfer.transfer_id, None)
-            if self._engine is not None:
-                self._engine.remove_flow(transfer.transfer_id)
+            self._engine.remove_flow(transfer.transfer_id)
             self.sim.defer(self, self._flush)
             self._record_failure(transfer, cause)
         elif transfer.transfer_id in self._stalled:
@@ -377,8 +331,7 @@ class NetworkFabric:
         for tid in released:
             transfer, handle = self._stalled.pop(tid)
             handle.cancel()
-            if self._engine is not None:
-                self._engine.add_flow(tid, transfer.src, transfer.dst)
+            self._engine.add_flow(tid, transfer.src, transfer.dst)
             self._active[tid] = transfer
             self.tracer.instant(
                 "net.unstall",
@@ -404,27 +357,13 @@ class NetworkFabric:
         now = self.sim.now
         counters = self.counters
         started = time.perf_counter() if counters is not None else 0.0
-        if self._engine is not None:
-            changed = self._engine.recompute().items()
-        else:
-            transfers = list(self._active.values())
-            rates = (
-                maxmin_rates([(t.src, t.dst) for t in transfers], self.capacities)
-                if transfers
-                else []
-            )
-            changed = [(t.transfer_id, r) for t, r in zip(transfers, rates)]
-            if transfers:
-                # Full recompute: the "dirty component" is every active flow.
-                self._m_recomputes.inc()
-                self._m_component.observe(len(transfers))
         applied = 0
-        for transfer_id, rate in changed:
+        for transfer_id, rate in self._engine.recompute().items():
             transfer = self._active.get(transfer_id)
             if transfer is None or rate == transfer.rate:
                 # Unchanged rate: the existing finish-time entry stays exact,
-                # and skipping settle() keeps progress accounting identical
-                # across both engine modes.
+                # and skipping settle() keeps progress accounting independent
+                # of how many flows the engine re-solved.
                 continue
             transfer.set_rate(now, rate)
             applied += 1
@@ -502,8 +441,7 @@ class NetworkFabric:
         for transfer in finished:
             del self._active[transfer.transfer_id]
             self._token.pop(transfer.transfer_id, None)
-            if self._engine is not None:
-                self._engine.remove_flow(transfer.transfer_id)
+            self._engine.remove_flow(transfer.transfer_id)
             transfer.settle(now)
             transfer.finished_at = now
             self.completed_count += 1

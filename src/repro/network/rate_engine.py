@@ -17,7 +17,7 @@ filling:
    into the dirty set before a single :meth:`recompute` settles them all —
    the fabric batches all flow changes of one simulated instant this way.
 
-Equivalence to the reference is by construction: the affected subgraph is
+Equivalence to a full recompute is by construction: the affected subgraph is
 re-solved by calling ``maxmin_rates`` itself on the component's flows in
 their global arrival order, and an untouched component's previously stored
 rates are exactly what a full recompute would re-derive for it (the kernel's
@@ -123,16 +123,6 @@ class RateEngine:
         if self.dirty:
             self.recompute()
         return dict(self._rates)
-
-    def reference_rates(self) -> Dict[Hashable, float]:
-        """Fresh full ``maxmin_rates`` recompute over the live flow set.
-
-        Test/verification helper: the engine's :meth:`rates` must always
-        equal this.
-        """
-        ordered = sorted(self._flows, key=self._seq.__getitem__)
-        flows = [self._flows[fid] for fid in ordered]
-        return dict(zip(ordered, maxmin_rates(flows, self.capacities)))
 
     # -------------------------------------------------------------- mutation
     def add_flow(self, flow_id: Hashable, src: str, dst: str) -> None:

@@ -312,6 +312,11 @@ class MetricFamily:
     # so `registry.counter("x").inc()` works without a labels() hop.
 
     def _default_child(self):
+        # Hot path: once created, the label-free child is one dict hit (a
+        # labelled family never holds the empty key, so it still raises).
+        child = self._children.get(())
+        if child is not None:
+            return child
         if self.labelnames:
             raise ConfigurationError(
                 f"metric {self.name!r} declares labels {self.labelnames}; "

@@ -8,10 +8,7 @@ random sweep.  The property suite extends the sweep with hypothesis.
 
 import random
 
-import pytest
-
 from repro.core.allocation import (
-    ALLOCATION_ENGINES,
     DataAwareAllocator,
     two_level_allocate,
     two_level_allocate_incremental,
@@ -148,18 +145,7 @@ class TestRandomSweep:
 
 
 class TestAllocatorFacade:
-    def test_engine_validation(self):
-        with pytest.raises(ValueError, match="unknown allocation engine"):
-            DataAwareAllocator(engine="bogus")
-
-    def test_engines_constant(self):
-        assert set(ALLOCATION_ENGINES) == {"incremental", "reference"}
-
-    def test_facade_dispatches_both_engines(self):
+    def test_facade_plan_equals_two_level_allocate(self):
         a = app("A", [JobDemand("J", (task("t", "E1"),))], quota=2)
-        plans = [
-            DataAwareAllocator(engine=engine).allocate([a], ["E1", "E2"])
-            for engine in ALLOCATION_ENGINES
-        ]
-        for other in plans[1:]:
-            assert plans[0].signature() == other.signature()
+        plan = DataAwareAllocator().allocate([a], ["E1", "E2"])
+        assert plan.signature() == two_level_allocate([a], ["E1", "E2"]).signature()

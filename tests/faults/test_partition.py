@@ -13,6 +13,7 @@ from repro.network.fabric import NetworkFabric
 from repro.obs.tracer import Tracer
 from repro.simulation.engine import Simulation
 from repro.simulation.timeline import Timeline
+from tests.reference_stack import reference_fabric
 
 pytestmark = pytest.mark.faults
 
@@ -21,7 +22,8 @@ def make_stack(num_nodes=4, engine="incremental", network_timeout=30.0, plan=Non
     sim = Simulation()
     timeline = Timeline(clock=lambda: sim.now)
     tracer = Tracer(clock=lambda: sim.now, sinks=[timeline])
-    fabric = NetworkFabric(sim, engine=engine, tracer=tracer)
+    make_fabric = reference_fabric if engine == "reference" else NetworkFabric
+    fabric = make_fabric(sim, tracer=tracer)
     cluster = Cluster(
         ClusterConfig(num_nodes=num_nodes, uplink=1.0, downlink=1.0),
         fabric=fabric,

@@ -79,7 +79,7 @@ def runner_payload() -> dict:
 
 
 def alloc_plans_payload() -> dict:
-    from repro.experiments.allocbench import golden_plan_stream
+    from tests.allocbench import golden_plan_stream
 
     return {
         "scenario": "alloc_plan_stream",

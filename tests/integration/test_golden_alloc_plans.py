@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.allocbench import golden_plan_stream
+from tests.allocbench import golden_plan_stream
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

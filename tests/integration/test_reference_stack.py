@@ -1,9 +1,12 @@
 """The whole-run reference seam really swaps the engines and the task
 schedulers, and only inside."""
 
+from unittest import mock
+
+from repro.core import allocation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from tests.reference_stack import reference_stack
+from tests.reference_stack import ReferenceCustodyManager, reference_stack
 
 CONFIG = ExperimentConfig(
     manager="custody", workload="sort", num_nodes=8, num_apps=2,
@@ -20,10 +23,19 @@ def recomputes_by_engine(result):
     return {s["labels"]["engine"]: s["value"] for s in family.series()}
 
 
+def planner_spy():
+    """Count calls of the rescanning planner, ``two_level_allocate``."""
+    return mock.patch.object(
+        allocation, "two_level_allocate", wraps=allocation.two_level_allocate
+    )
+
+
 def test_seam_runs_the_reference_engines():
-    with reference_stack():
+    with reference_stack(), planner_spy() as planner:
         result = run_experiment(CONFIG)
-    assert result.manager.alloc_engine == "reference"
+    assert isinstance(result.manager, ReferenceCustodyManager)
+    # Every round's plan came from the rescanning planner.
+    assert planner.call_count == result.manager.allocation_rounds > 0
     assert recomputes_by_engine(result).get("reference", 0) > 0
     assert recomputes_by_engine(result).get("incremental", 0) == 0
     assert scheduler_classes(result) == {"ScanDelayScheduler"}
@@ -32,8 +44,10 @@ def test_seam_runs_the_reference_engines():
 def test_runs_outside_the_seam_use_the_production_engines():
     with reference_stack():
         pass
-    result = run_experiment(CONFIG)
-    assert result.manager.alloc_engine == "incremental"
+    with planner_spy() as planner:
+        result = run_experiment(CONFIG)
+    assert not isinstance(result.manager, ReferenceCustodyManager)
+    assert planner.call_count == 0
     assert recomputes_by_engine(result).get("incremental", 0) > 0
     assert recomputes_by_engine(result).get("reference", 0) == 0
     assert scheduler_classes(result) == {"DelayScheduler"}

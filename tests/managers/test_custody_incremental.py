@@ -1,19 +1,22 @@
 """The incremental Custody control plane: cache behaviour and equivalence.
 
 The demand cache may only change *when* work happens, never *what* is
-decided: every scenario here runs once per engine and asserts identical
-plan streams, grants and locality outcomes, then pins the cache hit/miss
-accounting and its three invalidation triggers (demand epoch, NameNode
-version, watched-node pool changes).
+decided: the churn scenario runs on the production manager and on
+``ReferenceCustodyManager`` (``tests/reference_stack.py``) and asserts
+identical plan streams, grants and locality outcomes; the rest pins the
+cache hit/miss accounting and its three invalidation triggers (demand
+epoch, NameNode version, watched-node pool changes).
 """
 
-import pytest
+from unittest import mock
 
+from repro.core import allocation
 from repro.managers.custody import CustodyManager
+from tests.reference_stack import ReferenceCustodyManager
 
 
-def make_manager(harness, num_apps=2, **kw):
-    return CustodyManager(
+def make_manager(harness, num_apps=2, manager_cls=CustodyManager, **kw):
+    return manager_cls(
         harness.sim, harness.cluster, num_apps=num_apps, validate=True, **kw
     )
 
@@ -32,10 +35,10 @@ def record_plans(manager):
     return signatures
 
 
-def run_churn_scenario(harness_cls, engine):
+def run_churn_scenario(harness_cls, manager_cls):
     """A contended two-app workload; returns its observable decision trail."""
     harness = harness_cls()
-    manager = make_manager(harness, alloc_engine=engine)
+    manager = make_manager(harness, manager_cls=manager_cls)
     signatures = record_plans(manager)
     d0 = harness.add_app(manager, "a-0")
     d1 = harness.add_app(manager, "a-1")
@@ -59,9 +62,9 @@ def run_churn_scenario(harness_cls, engine):
 def test_engines_identical_under_churn(harness):
     """Reference and incremental runs take identical decisions throughout."""
     harness_cls = type(harness)
-    assert run_churn_scenario(harness_cls, "reference") == run_churn_scenario(
-        harness_cls, "incremental"
-    )
+    assert run_churn_scenario(
+        harness_cls, ReferenceCustodyManager
+    ) == run_churn_scenario(harness_cls, CustodyManager)
 
 
 def test_steady_state_rounds_hit_the_cache(harness):
@@ -160,11 +163,16 @@ def test_fault_injection_bypasses_the_cache(harness):
 
 
 def test_incremental_is_the_default_engine(harness):
+    """The production manager plans with the heap engine, never the
+    rescanning reference."""
     manager = make_manager(harness)
-    assert manager.alloc_engine == "incremental"
-    assert manager.allocator.engine == "incremental"
-
-
-def test_unknown_engine_rejected(harness):
-    with pytest.raises(ValueError, match="unknown allocation engine"):
-        make_manager(harness, alloc_engine="bogus")
+    harness.add_app(manager, "a-0")
+    with mock.patch.object(
+        allocation, "two_level_allocate_incremental",
+        wraps=allocation.two_level_allocate_incremental,
+    ) as heap, mock.patch.object(
+        allocation, "two_level_allocate", wraps=allocation.two_level_allocate
+    ) as rescan:
+        manager.reallocate()
+    assert heap.call_count == 1
+    assert rescan.call_count == 0

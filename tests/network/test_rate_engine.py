@@ -6,6 +6,7 @@ from repro.common.errors import ConfigurationError
 from repro.metrics.collector import PerfCounters
 from repro.network.bandwidth import LinkCapacities, maxmin_rates
 from repro.network.rate_engine import RateEngine
+from tests.reference_stack import reference_rates
 
 
 def caps(**nodes):
@@ -17,7 +18,7 @@ def caps(**nodes):
 
 def assert_matches_reference(engine):
     """Engine state must equal a fresh full recompute — exactly."""
-    assert engine.rates() == engine.reference_rates()
+    assert engine.rates() == reference_rates(engine)
 
 
 class TestIncrementalEquality:

@@ -1,7 +1,10 @@
 """MetricsRegistry unit tests: instruments, families, snapshots, null path."""
 
+from unittest import mock
+
 import pytest
 
+import repro.obs.metrics as metrics_module
 from repro.common.errors import ConfigurationError
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -152,6 +155,24 @@ def test_labelled_family_rejects_direct_use():
     fam = reg.counter("x_total", "", ("app",))
     with pytest.raises(ConfigurationError, match="use .labels"):
         fam.inc()
+
+
+def test_label_free_series_is_resolved_once():
+    """Only the first bare ``inc`` validates labels; later ones reuse the
+    child.  A labelled family with live series still rejects bare use."""
+    reg = MetricsRegistry()
+    fam = reg.counter("c_total")
+    with mock.patch.object(
+        metrics_module, "_check_label_values", wraps=metrics_module._check_label_values
+    ) as check:
+        for _ in range(3):
+            fam.inc()
+    assert check.call_count == 1
+    assert fam.series()[0]["value"] == 3.0
+    labelled = reg.counter("x_total", "", ("app",))
+    labelled.labels(app="a").inc()
+    with pytest.raises(ConfigurationError, match="use .labels"):
+        labelled.inc()
 
 
 # ---------------------------------------------------------------- registry

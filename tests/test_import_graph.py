@@ -3,7 +3,8 @@
 Custody runs Algorithms 1 and 2 greedily; the §IV theory (LP bound, optimal
 matching) and the figure/sweep/bench drivers only measure it from outside.
 This pins that no CLI entry point and no run — under any manager, faulted
-or not — loads scipy, networkx, the theory modules or the bench drivers.
+or not — loads scipy, networkx, the theory modules or the bench drivers,
+and that ``src/`` never imports the test oracles in ``tests/``.
 
 The check runs in a fresh interpreter: ``test_api_quality`` imports every
 ``repro`` module during collection, so this process's ``sys.modules`` says
@@ -24,7 +25,6 @@ FORBIDDEN_MODULES = (
     "repro.core.flownetwork",
     "repro.core.intraapp",
     "repro.core.matching",
-    "repro.experiments.allocbench",
     "repro.experiments.figures",
     "repro.experiments.sweeps",
 )
@@ -83,17 +83,34 @@ def test_runs_load_no_theory_or_bench_code():
     assert not offenders, f"runtime import graph pulls in {roots}"
 
 
+def _imported_modules(path):
+    """Every module name an ``import`` / ``from ... import`` in ``path`` names."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
 def test_network_package_imports_no_numpy():
     """The network layer is pure Python: its max-min kernel has no NumPy
     twin in ``src/`` (the NumPy loop is the test oracle ``tests/numpy_maxmin.py``)."""
-    offenders = []
-    for path in sorted((SRC / "repro" / "network").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "numpy"]
+    offenders = [
+        f"{path.name}: {name}"
+        for path in sorted((SRC / "repro" / "network").glob("*.py"))
+        for name in _imported_modules(path)
+        if name.split(".")[0] == "numpy"
+    ]
+    assert not offenders, offenders
+
+
+def test_src_imports_nothing_from_tests():
+    """The oracles depend on the production code, never the reverse:
+    no module under ``src/`` imports from ``tests``."""
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in _imported_modules(path)
+        if name.split(".")[0] == "tests"
+    ]
     assert not offenders, offenders

@@ -21,10 +21,11 @@ executor id fails fast with :class:`ConfigurationError` instead of a bare
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.common.errors import ConfigurationError, TransferFailedError
+from repro.common.errors import ConfigurationError
 from repro.faults.detector import FailureDetector
 from repro.faults.plan import (
     CorrelatedFailure,
@@ -44,7 +45,6 @@ from repro.obs.events import FaultHealed, FaultInjected, RecoveryFlow
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulation.engine import Simulation
-from repro.simulation.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.managers.base import ClusterManager
@@ -672,11 +672,18 @@ class FaultInjector:
             self.recovery_bytes += block.size
             if self.tracer.narrating:
                 self.tracer.narrate("fault.re_replicate", block_id, src=src, dst=target)
-            Process(
-                self.sim,
-                self._rr_proc(transfer, block, target, exclude, retries),
-                name=f"re-replicate:{block_id}->{target}",
-            )
+            self._watch_recovery(transfer, block, target, exclude, retries)
+
+    def _watch_recovery(self, transfer, block, target: str, exclude: str, retries: int) -> None:
+        """Settle one recovery copy once its transfer ends.
+
+        The subscription is made from a ``call_soon`` event rather than
+        here; that hop is part of the pinned event order.
+        """
+        self.sim.call_soon(
+            transfer.done.subscribe,
+            partial(self._rr_settled, transfer, block, target, exclude, retries),
+        )
 
     def _rr_retry(self, block_id: str, exclude: str, retries: int, why: str) -> None:
         """Re-queue a blocked/failed recovery copy, bounded."""
@@ -692,18 +699,15 @@ class FaultInjector:
         self._rr_queue.append((block_id, exclude, retries))
         self._pump_re_replication()
 
-    def _rr_proc(self, transfer, block, target: str, exclude: str, retries: int):
-        """Process body: wait out one recovery transfer, commit the replica."""
-        try:
-            yield transfer.done
-        except TransferFailedError:
-            self._rr_active -= 1
+    def _rr_settled(
+        self, transfer, block, target: str, exclude: str, retries: int, _value, exception
+    ) -> None:
+        """A recovery transfer ended: commit the replica, or retry it."""
+        self._rr_active -= 1
+        if exception is not None:
             self._trace_recovery(transfer, block, target, "transfer-failed")
             self._rr_retry(block.block_id, exclude, retries, "transfer-failed")
-            self._pump_re_replication()
-            return
-        self._rr_active -= 1
-        if (
+        elif (
             target not in self._down_nodes
             and not self.hdfs.datanodes[target].holds(block.block_id)
         ):

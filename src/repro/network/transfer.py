@@ -17,8 +17,10 @@ class Transfer:
     lazy progress accounting: ``remaining`` is only re-evaluated when the rate
     changes or completion is checked, using ``remaining -= rate * dt``.
 
-    ``done`` is a :class:`Signal` processes can yield on; it triggers with the
-    transfer itself at completion time.
+    ``done`` is a :class:`Signal` waiters subscribe to; it triggers with the
+    transfer itself at completion time, or fails with
+    :class:`~repro.common.errors.TransferFailedError` if the transfer dies.
+    A cancelled transfer's ``done`` never fires.
     """
 
     __slots__ = (

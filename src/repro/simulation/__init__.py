@@ -1,12 +1,13 @@
 """Deterministic discrete-event simulation engine.
 
-A small, SimPy-flavoured core purpose-built for the Custody reproduction:
+A small callback-driven core purpose-built for the Custody reproduction:
 
 * :mod:`repro.simulation.engine` — :class:`~repro.simulation.engine.Simulation`,
   the event heap + virtual clock with callback timers.
-* :mod:`repro.simulation.process` — generator-based cooperative processes
-  (``Process`` / ``Signal`` / ``Timeout``) for modelling drivers, executors
-  and transfers.
+* :mod:`repro.simulation.process` — :class:`~repro.simulation.process.Signal`,
+  the one-shot event a transfer triggers on completion; waiters subscribe
+  callbacks to it (task attempts and re-replication copies are callback
+  state machines, not coroutines).
 * :mod:`repro.simulation.timeline` — an append-only trace of simulation
   events, fed as a sink of the run's tracer; used by the golden/determinism
   tests and for debugging.

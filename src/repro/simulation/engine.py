@@ -1,7 +1,9 @@
 """The event loop: a virtual clock driving a binary-heap event queue.
 
-The engine is intentionally minimal — time, ordered callbacks, cancellation —
-with the process/wait machinery layered on top in :mod:`repro.simulation.process`.
+The engine is intentionally minimal — time, ordered callbacks, cancellation.
+Everything that waits is a callback: timers are handles returned by
+:meth:`Simulation.schedule`, and waiting on another component's result means
+subscribing to a :class:`~repro.simulation.process.Signal`.
 Determinism is absolute: events at equal times fire in scheduling order
 (monotone sequence numbers break ties), and nothing reads the wall clock.
 """

@@ -1,12 +1,12 @@
-"""The whole-run reference seam really swaps the engines and the task
-schedulers, and only inside."""
+"""The whole-run reference seam really swaps the engines, the task
+schedulers and the task attempts, and only inside."""
 
 from unittest import mock
 
 from repro.core import allocation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from tests.reference_stack import ReferenceCustodyManager, reference_stack
+from tests.reference_stack import GeneratorAttempt, ReferenceCustodyManager, reference_stack
 
 CONFIG = ExperimentConfig(
     manager="custody", workload="sort", num_nodes=8, num_apps=2,
@@ -23,6 +23,13 @@ def recomputes_by_engine(result):
     return {s["labels"]["engine"]: s["value"] for s in family.series()}
 
 
+def generator_attempts():
+    """Count task attempts launched as generator processes."""
+    return mock.patch.object(
+        GeneratorAttempt, "launch", autospec=True, side_effect=GeneratorAttempt.launch
+    )
+
+
 def planner_spy():
     """Count calls of the rescanning planner, ``two_level_allocate``."""
     return mock.patch.object(
@@ -31,9 +38,11 @@ def planner_spy():
 
 
 def test_seam_runs_the_reference_engines():
-    with reference_stack(), planner_spy() as planner:
+    with reference_stack(), planner_spy() as planner, generator_attempts() as launches:
         result = run_experiment(CONFIG)
     assert isinstance(result.manager, ReferenceCustodyManager)
+    tasks = sum(len(job.all_tasks) for app in result.apps for job in app.jobs)
+    assert launches.call_count >= tasks > 0
     # Every round's plan came from the rescanning planner.
     assert planner.call_count == result.manager.allocation_rounds > 0
     assert recomputes_by_engine(result).get("reference", 0) > 0
@@ -44,9 +53,10 @@ def test_seam_runs_the_reference_engines():
 def test_runs_outside_the_seam_use_the_production_engines():
     with reference_stack():
         pass
-    with planner_spy() as planner:
+    with planner_spy() as planner, generator_attempts() as launches:
         result = run_experiment(CONFIG)
     assert not isinstance(result.manager, ReferenceCustodyManager)
+    assert launches.call_count == 0
     assert planner.call_count == 0
     assert recomputes_by_engine(result).get("incremental", 0) > 0
     assert recomputes_by_engine(result).get("reference", 0) == 0

@@ -6,7 +6,6 @@ from repro.common.errors import ConfigurationError
 from repro.network.fabric import NetworkFabric
 from repro.obs.tracer import Tracer
 from repro.simulation.engine import Simulation
-from repro.simulation.process import Process
 from repro.simulation.timeline import Timeline
 
 
@@ -27,15 +26,14 @@ def test_single_transfer_duration(sim):
 def test_done_signal_wakes_waiter(sim):
     fabric = make_fabric(sim, "a", "b")
     finished = []
+    transfer = fabric.start_transfer("a", "b", size=20.0)
 
-    def waiter():
-        transfer = fabric.start_transfer("a", "b", size=20.0)
-        result = yield transfer.done
-        finished.append((sim.now, result is transfer))
+    def waiter(result, exception):
+        finished.append((sim.now, result is transfer, exception))
 
-    Process(sim, waiter())
+    transfer.done.subscribe(waiter)
     sim.run()
-    assert finished == [(pytest.approx(2.0), True)]
+    assert finished == [(pytest.approx(2.0), True, None)]
 
 
 def test_local_transfer_rejected(sim):

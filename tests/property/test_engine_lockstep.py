@@ -1,11 +1,18 @@
 """Lockstep: the production event engine against the reference oracle.
 
 ``tests/reference_engine.py`` keeps the engine and process layer as they
-were before heap entries became ``(time, seq, handle)`` tuples, process
-resumes stopped allocating a closure and the dead-event purge became
-conditional.  Random scripts run through both; every fired callback, process
-resume and top-level call logs ``(now, label)``, and both engines must
-produce the same log, the same final clock and the same ``stats()``.
+were before heap entries became ``(time, seq, handle)`` tuples and the
+dead-event purge became conditional.  Random scripts run through both;
+every fired callback, process resume and top-level call logs
+``(now, label)``, and both engines must produce the same log, the same
+final clock and the same ``stats()``.
+
+The process classes (``Process``, ``Timeout``, ``AllOf``, ``AnyOf``,
+``Interrupt``) exist only in the oracle, so both sides run them; the
+production side runs them on the production ``Simulation`` and waits on
+production signals through :class:`~tests.reference_engine.SignalWait`.
+That covers the engine and the signal's wake-up rule under every wait
+shape the scripts draw.
 
 A script is a list of top-level operations.  Scheduled callbacks carry an
 *action* they perform when they fire (schedule more work at the current
@@ -29,17 +36,19 @@ import tests.reference_engine as reference
 
 PRODUCTION = SimpleNamespace(
     Simulation=engine.Simulation,
-    Timeout=process.Timeout,
+    Timeout=reference.Timeout,
     Signal=process.Signal,
-    Process=process.Process,
-    Interrupt=process.Interrupt,
-    AllOf=process.AllOf,
-    AnyOf=process.AnyOf,
+    wait=reference.SignalWait,
+    Process=reference.Process,
+    Interrupt=reference.Interrupt,
+    AllOf=reference.AllOf,
+    AnyOf=reference.AnyOf,
 )
 REFERENCE = SimpleNamespace(
     Simulation=reference.Simulation,
     Timeout=reference.Timeout,
     Signal=reference.Signal,
+    wait=lambda signal: signal,
     Process=reference.Process,
     Interrupt=reference.Interrupt,
     AllOf=reference.AllOf,
@@ -116,7 +125,7 @@ class Script:
         if kind == "timeout":
             return api.Timeout(spec[1], value=f"t{spec[1]}")
         if kind == "signal" and self.signals:
-            return self.signals[spec[1] % len(self.signals)]
+            return api.wait(self.signals[spec[1] % len(self.signals)])
         if kind == "proc" and pid > 0:
             return self.procs[spec[1] % pid]  # only earlier processes
         if kind == "allof":

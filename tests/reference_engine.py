@@ -28,6 +28,7 @@ from repro.common.errors import SimulationError
 __all__ = [
     "EventHandle", "Simulation",
     "Timeout", "Signal", "Process", "Interrupt", "AllOf", "AnyOf",
+    "SignalWait",
 ]
 
 
@@ -618,3 +619,24 @@ class AnyOf(Waitable):
         self._callback = None
         for child, cb in self._child_callbacks:
             child._unsubscribe(cb)
+
+
+# --- adapter (not part of the copy above) ----------------------------------
+class SignalWait(Waitable):
+    """Lets a process here wait on a production ``repro.simulation`` Signal.
+
+    The production signal has the same wake-up rule (one ``call_soon`` per
+    waiter) behind a public ``subscribe``/``unsubscribe``; this forwards the
+    process's resume callback to it.
+    """
+
+    __slots__ = ("signal",)
+
+    def __init__(self, signal):
+        self.signal = signal
+
+    def _subscribe(self, sim: Simulation, callback) -> None:
+        self.signal.subscribe(callback)
+
+    def _unsubscribe(self, callback) -> None:
+        self.signal.unsubscribe(callback)

@@ -11,16 +11,24 @@ implementations live here, unchanged in behaviour, as test oracles:
   per-task NameNode lookups and full history scans, and plans with
   ``two_level_allocate`` (the rescanning Algorithm 1+2) through
   :class:`ReferenceAllocator`;
-* the scanning task schedulers, in ``tests/scan_policies.py``.
+* the scanning task schedulers, in ``tests/scan_policies.py``;
+* :class:`GeneratorAttempt` and :func:`watch_recovery_process` — task
+  attempts and re-replication copies as generator processes on
+  ``tests/reference_engine.Process`` (the production code runs them as
+  callback state machines), amended only where the callback path
+  deliberately differs: a kill before the body's first event cancels the
+  body instead of letting it run once, and a killed or failed shuffle
+  cancels its local-read timer instead of leaving it to fire as a no-op.
 
 :func:`reference_stack` patches the two places a whole experiment builds
 them (``repro.experiments.runner`` and the paper-figure scenarios) so any
 ``run_experiment`` / figure call inside the block runs on the reference
 fabric, :class:`ReferenceCustodyManager`, the scan schedulers
-(:func:`~tests.scan_policies.scan_dispatch`) and failure detectors that
+(:func:`~tests.scan_policies.scan_dispatch`), failure detectors that
 judge every liveness query afresh with the full heartbeat walk
 (:func:`judge_every_query`: no per-instant verdict memo and no shortcut
-for nodes nothing has named).
+for nodes nothing has named) and the generator attempts and recovery
+copies.
 
 The ``stack`` fixture parametrizes a test over both stacks, entering the
 seam for the ``"reference"`` case.  Patches are process-local: run
@@ -38,16 +46,20 @@ import pytest
 import repro.experiments.runner as runner
 import repro.experiments.scenarios as scenarios
 import repro.network.fabric as fabric_module
+import repro.scheduling.driver as driver_module
 from repro.cluster.executor import Executor
+from repro.common.errors import TransferFailedError
 from repro.core import allocation
 from repro.core.demand import AllocationPlan, AppDemand, JobDemand, TaskDemand
 from repro.faults.detector import FailureDetector
+from repro.faults.injector import FaultInjector
 from repro.managers.custody import CustodyManager
 from repro.network.bandwidth import maxmin_rates
 from repro.network.fabric import NetworkFabric
 from repro.network.rate_engine import RateEngine
 from repro.obs.metrics import NULL_METRICS, SIZE_BUCKETS
 from repro.workload.job import Job
+from tests.reference_engine import AllOf, Interrupt, Process, Signal, SignalWait, Timeout
 from tests.scan_policies import scan_dispatch
 
 #: Engine stacks a whole-run equivalence test covers.
@@ -222,6 +234,149 @@ class ReferenceCustodyManager(CustodyManager):
         return demands, fill_limits
 
 
+# ----------------------------------------------------------------- attempts
+class _AttemptProcess(Process):
+    """A reference ``Process`` that keeps its start hop, so a kill that
+    lands before the body's first event can cancel it."""
+
+    def __init__(self, sim, generator, name: str):
+        self.sim = sim
+        self.name = name
+        self._gen = generator
+        self._done = Signal(sim, name=f"{name}.done")
+        self._current = None
+        self._alive = True
+        self.start = sim.call_soon(self._resume, None, None)
+
+
+class GeneratorAttempt(driver_module._Attempt):
+    """A task attempt as a generator process (the seed's attempt body)."""
+
+    __slots__ = ("process", "waits")
+
+    def launch(self) -> None:
+        #: a shuffle's waits, so a kill or failure can cancel its timer
+        self.waits: List = []
+        self.process = _AttemptProcess(
+            self.driver.sim,
+            self._body(),
+            name=f"run:{self.task.task_id}@{self.executor.executor_id}",
+        )
+
+    def release(self) -> None:
+        process = self.process
+        # ``_fail_attempt`` releases from inside the body: no interrupt then.
+        if process.alive and not process._gen.gi_running:
+            if process.start.pending:
+                process.start.cancel()  # killed before start: never run the body
+                process._alive = False
+            else:
+                process.interrupt("killed", immediate=True)
+        for wait in self.waits:
+            if isinstance(wait, Timeout):
+                wait._unsubscribe(None)  # no leftover local-read timer
+        for transfer in self.transfers:
+            self.driver.fabric.cancel_transfer(transfer)
+        self.transfers.clear()
+        if self.task.task_id in self.executor.running_tasks:
+            self.executor.finish_task(self.task.task_id)
+
+    def _body(self):
+        driver = self.driver
+        task, executor = self.task, self.executor
+        node = executor.node
+        transfers = self.transfers
+        read_started = driver.sim.now
+        try:
+            was_local = None
+            if task.is_input:
+                assert task.block is not None
+                if driver.hdfs.can_serve_locally(task.block.block_id, node.node_id):
+                    was_local = True
+                    yield Timeout(driver.hdfs.local_read_time(task.block, node.node_id))
+                else:
+                    was_local = False
+                    src = driver._pick_fetch_source(task.block.block_id, node.node_id)
+                    if src is None:
+                        driver._fail_attempt(self, "no-replicas")
+                        return
+                    transfers.append(
+                        driver.fabric.start_transfer(src, node.node_id, task.block.size)
+                    )
+                    yield SignalWait(transfers[0].done)
+                    transfers.clear()
+                    if driver.hdfs.caching_enabled:
+                        driver.hdfs.cache_block(node.node_id, task.block)
+            elif task.shuffle_bytes > 0:
+                sources = driver._shuffle_sources(task)
+                if not sources:
+                    yield Timeout(node.local_read_time(task.shuffle_bytes))
+                else:
+                    per_source = task.shuffle_bytes / len(sources)
+                    waits = self.waits
+                    for src in sources:
+                        if src == node.node_id:
+                            waits.append(Timeout(node.local_read_time(per_source)))
+                        else:
+                            transfer = driver.fabric.start_transfer(
+                                src, node.node_id, per_source
+                            )
+                            transfers.append(transfer)
+                            waits.append(SignalWait(transfer.done))
+                    yield AllOf(waits)
+                    transfers.clear()
+            read_time = driver.sim.now - read_started
+            cpu = task.cpu_time * driver._cpu_factor(node.node_id)
+            if cpu > 0:
+                yield Timeout(cpu)
+        except Interrupt:
+            for transfer in transfers:
+                driver.fabric.cancel_transfer(transfer)
+            transfers.clear()
+            if task.task_id in executor.running_tasks:
+                executor.finish_task(task.task_id)
+            return
+        except TransferFailedError as exc:
+            driver._fail_attempt(self, exc.cause)
+            return
+        self.was_local, self.read_time = was_local, read_time
+        driver._finish_attempt(self)
+
+
+def watch_recovery_process(
+    injector: FaultInjector, transfer, block, target: str, exclude: str, retries: int
+) -> None:
+    """``FaultInjector._watch_recovery`` as the seed's generator process."""
+    Process(
+        injector.sim,
+        _recovery_body(injector, transfer, block, target, exclude, retries),
+        name=f"re-replicate:{block.block_id}->{target}",
+    )
+
+
+def _recovery_body(injector, transfer, block, target, exclude, retries):
+    try:
+        yield SignalWait(transfer.done)
+    except TransferFailedError:
+        injector._rr_active -= 1
+        injector._trace_recovery(transfer, block, target, "transfer-failed")
+        injector._rr_retry(block.block_id, exclude, retries, "transfer-failed")
+        injector._pump_re_replication()
+        return
+    injector._rr_active -= 1
+    if (
+        target not in injector._down_nodes
+        and not injector.hdfs.datanodes[target].holds(block.block_id)
+    ):
+        injector.hdfs.datanodes[target].store(block)
+        injector.hdfs.namenode.add_replica(block.block_id, target)
+        injector.replicas_restored += 1
+        injector._trace_recovery(transfer, block, target, "restored")
+    else:
+        injector._trace_recovery(transfer, block, target, "superseded")
+    injector._pump_re_replication()
+
+
 # --------------------------------------------------------------------- seam
 def judge_every_query(detector: FailureDetector, node_id: str) -> str:
     """Memo-free, walk-always stand-in for ``FailureDetector._verdict``."""
@@ -230,9 +385,14 @@ def judge_every_query(detector: FailureDetector, node_id: str) -> str:
 
 @contextmanager
 def reference_stack() -> Iterator[None]:
-    """Build every run's fabric, Custody manager, task schedulers and
-    failure detector on the reference implementations."""
+    """Build every run's fabric, Custody manager, task schedulers, failure
+    detector, task attempts and recovery copies on the reference
+    implementations."""
     with mock.patch.object(
+        driver_module, "_Attempt", GeneratorAttempt
+    ), mock.patch.object(
+        FaultInjector, "_watch_recovery", watch_recovery_process
+    ), mock.patch.object(
         runner, "NetworkFabric", reference_fabric
     ), mock.patch.object(
         runner, "CustodyManager", ReferenceCustodyManager

@@ -12,12 +12,17 @@ Three families, one per mechanism:
   run, and the run-level counters respect the same invariants.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.faults.chaos import build_chaos_plan
 from repro.faults.plan import (
     CorrelatedFailure,
     FaultPlan,
@@ -25,6 +30,7 @@ from repro.faults.plan import (
     NodeFailure,
     NodeSlowdown,
 )
+from repro.scheduling.driver import ApplicationDriver
 from repro.scheduling.robustness import (
     CLOSED,
     HALF_OPEN,
@@ -236,4 +242,80 @@ def test_breaker_wedge_plan_drains_without_breaker():
         ExperimentConfig(seed=46, **dict(ROBUST, circuit_breaker=False)),
         fault_plan=BREAKER_WEDGE_PLAN,
     )
+    assert result.metrics.unfinished_jobs == 0
+
+
+#: Composed-knob reproducers on 20 nodes with a single replica per block:
+#: the chaos plan below loses every replica of some input blocks.
+COMPOSED = dict(seed=41, num_nodes=20, jobs_per_app=4, replication=1)
+
+
+def composed_plan() -> FaultPlan:
+    return build_chaos_plan(
+        20, 2, np.random.default_rng(34), link_flaps=1, correlated_failures=1,
+        horizon=150.0,
+    )
+
+
+@contextmanager
+def same_instant_failure_cap(limit: int = 1000):
+    """Turn a zero-time livelock into an error: a run whose attempts fail
+    more than ``limit`` times at one instant raises instead of hanging."""
+    fail_attempt = ApplicationDriver._fail_attempt
+    seen = {"now": None, "count": 0}
+
+    def capped(driver, attempt, reason):
+        if driver.sim.now != seen["now"]:
+            seen["now"], seen["count"] = driver.sim.now, 0
+        seen["count"] += 1
+        if seen["count"] > limit:
+            raise AssertionError(
+                f"livelock: {limit} failed attempts at t={driver.sim.now} "
+                f"(last: {attempt.task.task_id}, {reason})"
+            )
+        fail_attempt(driver, attempt, reason)
+
+    with mock.patch.object(ApplicationDriver, "_fail_attempt", capped):
+        yield
+
+
+def finished_jobs(result) -> int:
+    return sum(1 for app in result.apps for job in app.jobs if job.finished_at is not None)
+
+
+def test_speculation_does_not_reclone_a_task_whose_replicas_are_gone():
+    """A speculative clone of a task whose block has no replica left would
+    fail at once; re-cloning it at the same instant used to loop forever."""
+    with same_instant_failure_cap():
+        result = run_experiment(
+            ExperimentConfig(manager="yarn", speculation=True, **COMPOSED),
+            fault_plan=composed_plan(),
+            max_sim_time=300,
+        )
+    assert finished_jobs(result) == 16
+    assert result.metrics.unfinished_jobs == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="circuit-breaker silent wedge: the run returns at makespan 129.2 "
+    "with 2 of 16 jobs unfinished and no error (see ROADMAP liveness item)",
+)
+def test_breaker_wedge_under_data_loss_regression():
+    result = run_experiment(
+        ExperimentConfig(manager="standalone", circuit_breaker=True, **COMPOSED),
+        fault_plan=composed_plan(),
+        max_sim_time=300,
+    )
+    assert result.metrics.unfinished_jobs == 0
+
+
+def test_breaker_wedge_under_data_loss_drains_without_breaker():
+    """The same plan and seed finish every job once the breaker is off."""
+    result = run_experiment(
+        ExperimentConfig(manager="standalone", circuit_breaker=False, **COMPOSED),
+        fault_plan=composed_plan(),
+        max_sim_time=300,
+    )
+    assert finished_jobs(result) == 16
     assert result.metrics.unfinished_jobs == 0
